@@ -39,9 +39,17 @@ type augmentPin struct {
 	SHA256  string `json:"sha256"`
 }
 
-// setupProbes is how many extra processes only repeat the set-up, so
-// setup_s, a few milliseconds of process start, is a median of many.
-const setupProbes = 8
+const (
+	// coldRuns is how many cold augment.Run processes one benchmark run
+	// makes. A cold run takes 12-20 s on a 2-vCPU machine whose speed
+	// swings in 5-10 s blocks, so the figures are medians over several.
+	coldRuns = 3
+	// setupProbes is how many extra processes only repeat the set-up
+	// before each cold run and after the last, so setup_s, a few
+	// milliseconds of process start, is a median of many samples spread
+	// over the whole run rather than bunched into one slow block.
+	setupProbes = 8
+)
 
 func augmentConfig(o options, seed int64) augment.Config {
 	if o.tiny {
@@ -185,14 +193,9 @@ func samplesDigest(out *augment.Output) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// minColdRuns is the fewest cold runs one benchmark run makes: a single
-// cold run on a shared machine moves by a fifth from one run to the next,
-// so even a short run reports a median.
-const minColdRuns = 2
-
-// runAugmentCold repeats cold runs, each in a fresh process, for as many
-// as fit in o.seconds (at least minColdRuns), and reports their medians. The
-// traced run is one in-process cold run followed by the layer drive.
+// runAugmentCold makes coldRuns cold runs, each in a fresh process, with
+// set-up probes between them, and reports their medians. The traced run is
+// one in-process cold run followed by the layer drive.
 func runAugmentCold(o options) (*report, error) {
 	pins, err := loadPins(o.pinsPath)
 	if err != nil {
@@ -209,14 +212,29 @@ func runAugmentCold(o options) (*report, error) {
 	}
 
 	var runs []coldRun
-	t0 := time.Now()
-	budget := time.Duration(o.seconds * float64(time.Second))
-	for len(runs) < minColdRuns || time.Since(t0)+runs[len(runs)-1].Run <= budget {
+	var setups []time.Duration
+	probe := func() error {
+		for i := 0; i < setupProbes; i++ {
+			r, err := spawnCold(o, "setup")
+			if err != nil {
+				return err
+			}
+			setups = append(setups, r.Setup)
+		}
+		return nil
+	}
+	for i := 0; i < coldRuns; i++ {
+		if err := probe(); err != nil {
+			return nil, err
+		}
 		r, err := spawnCold(o, "run")
 		if err != nil {
 			return nil, err
 		}
 		runs = append(runs, r)
+	}
+	if err := probe(); err != nil {
+		return nil, err
 	}
 	if o.recordPins {
 		if err := recordPin(o.pinsPath, "augment_cold", input, runs[0].Pin); err != nil {
@@ -226,9 +244,8 @@ func runAugmentCold(o options) (*report, error) {
 			return nil, err
 		}
 	}
-	var setups, walls []time.Duration
-	var tputs []float64
-	rss := 0.0
+	var walls []time.Duration
+	var tputs, rss []float64
 	var verifyCounts []map[string]uint64
 	for _, r := range runs {
 		rep.attempted++
@@ -238,15 +255,8 @@ func runAugmentCold(o options) (*report, error) {
 		setups = append(setups, r.Setup)
 		walls = append(walls, r.Run)
 		tputs = append(tputs, float64(r.Pin.Designs)/r.Run.Seconds())
-		rss = max(rss, r.RSSMB)
+		rss = append(rss, r.RSSMB)
 		verifyCounts = append(verifyCounts, map[string]uint64{"hits": r.Hits, "misses": r.Misses, "coalesced": r.Coalesced})
-	}
-	for i := 0; i < setupProbes; i++ {
-		r, err := spawnCold(o, "setup")
-		if err != nil {
-			return nil, err
-		}
-		setups = append(setups, r.Setup)
 	}
 	rep.counters["cold_runs"] = len(runs)
 	rep.counters["setup_samples"] = len(setups)
@@ -262,7 +272,9 @@ func runAugmentCold(o options) (*report, error) {
 	// tail the slowest.
 	rep.endToEnd["p50_ms"] = metric{Value: ms(quantileDur(walls, 0.5)), Unit: "ms"}
 	rep.endToEnd["tail_ms"] = metric{Value: ms(quantileDur(walls, 1)), Unit: "ms"}
-	rep.endToEnd["max_rss_mb"] = metric{Value: rss, Unit: "MB"}
+	// Each cold process's peak RSS moves by a few MB with GC timing; the
+	// median over them is the steady figure.
+	rep.endToEnd["max_rss_mb"] = metric{Value: median(rss), Unit: "MB"}
 	return rep, nil
 }
 

@@ -3,7 +3,7 @@
 
 Run one workload (the command BENCHMARK.json names):
 
-    python3 perfbench/run.py --workload augment_cold --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload augment_cold --seed 1 --seconds 20 --trace 0
 
 It builds the benchmark program (this directory's Go module) and cmd/serve
 from source into .bench_build/, runs it from the checkout root and

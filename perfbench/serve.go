@@ -33,17 +33,26 @@ import (
 // fresh directory. Set-up sends every unique /check once (record_only)
 // over the catalog goldens and their bugs.Enumerate mutants, restarts the
 // server on the same store and reads every record back once, so the timed
-// phase is warm. The timed part is two closed-loop clients replaying a
-// seeded mix of resident /check requests and /stimulus requests with
-// random rows on a few catalog designs. Formal does almost no work here;
-// HTTP/JSON, admission, the tiered/disk store and the lane batcher do.
+// phase is warm. The timed part has two phases, each with two closed-loop
+// clients. The /check replay, the end-to-end figures, replays that
+// golden-corpus request set (ROADMAP's "cmd/serve QPS and p50/p99 at
+// saturation"). The /stimulus phase drives random rows on a few catalog
+// designs through the lane batcher; its figures are reported on their own
+// and carry no weight in the end-to-end ones. Formal does almost no work
+// here; HTTP/JSON, admission, the tiered/disk store and the batcher do.
 
 const (
-	serveClients     = 2   // closed-loop clients, no more than nproc
-	serveMutants     = 3   // bugs.Enumerate limit per catalog design
-	stimulusShare    = 0.1 // share of /stimulus requests in the mix
-	stimulusDesigns  = 4   // catalog designs the /stimulus requests drive
-	stimuliPerDesign = 32  // distinct random stimuli per design
+	serveClients = 2 // closed-loop clients, no more than nproc
+	serveMutants = 3 // bugs.Enumerate limit per catalog design
+	// checkShare is the part of --seconds given to the /check replay; the
+	// /stimulus phase has the rest.
+	checkShare       = 0.8
+	stimulusDesigns  = 4  // catalog designs the /stimulus requests drive
+	stimuliPerDesign = 32 // distinct random stimuli per design
+	// stimulusBlock is how many consecutive /stimulus requests each client
+	// sends on one design before both move to the next, so the clients'
+	// stimuli meet in one batch group.
+	stimulusBlock = 64
 	// The formal effort of each /check. Only set-up computes checks, so a
 	// small exhaustive budget keeps set-up short without changing what the
 	// timed phase does.
@@ -104,7 +113,8 @@ type servePin struct {
 
 // buildServeRequests computes every request of the run and its reference
 // outcome in-process (verify.New for /check, sim and sva for /stimulus).
-func buildServeRequests(o options, seed int64) (checks, stims []request, recs []verify.Record, err error) {
+// The stimuli are grouped by design.
+func buildServeRequests(o options, seed int64) (checks []request, stims [][]request, recs []verify.Record, err error) {
 	ctx := context.Background()
 	ref := verify.New(0)
 	type job struct {
@@ -173,6 +183,7 @@ func buildServeRequests(o options, seed int64) (checks, stims []request, recs []
 		picked++
 		ins := d.Inputs(true) // cmd/serve's default columns: data inputs
 		depth := b.CheckDepth(16)
+		var group []request
 		for k := 0; k < stimuliPerDesign; k++ {
 			rows := make([][]uint64, depth)
 			for c := range rows {
@@ -189,8 +200,12 @@ func buildServeRequests(o options, seed int64) (checks, stims []request, recs []
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			stims = append(stims, request{"/stimulus", body, want})
+			group = append(group, request{"/stimulus", body, want})
 		}
+		stims = append(stims, group)
+	}
+	if len(stims) == 0 {
+		return nil, nil, nil, fmt.Errorf("no catalog design takes /stimulus requests")
 	}
 	return checks, stims, recs, nil
 }
@@ -220,9 +235,9 @@ func stimulusReference(ctx context.Context, d *compile.Design, st sim.VecStimulu
 }
 
 // referenceDigest hashes the expected outcomes in order.
-func referenceDigest(checks, stims []request) string {
+func referenceDigest(checks []request, stims [][]request) string {
 	h := sha256.New()
-	for _, set := range [][]request{checks, stims} {
+	for _, set := range append([][]request{checks}, stims...) {
 		for _, r := range set {
 			b, _ := json.Marshal(r.want) // strings and bools only
 			h.Write(b)
@@ -246,7 +261,11 @@ func startServer(bin, store string) (*server, error) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cmd := exec.Command(bin, "-addr", addr, "-rate", "0", "-store", store)
+	// The lane cap equals the client count: a batch group fills when every
+	// client has a stimulus queued for its design and runs at once, instead
+	// of waiting out the batching window.
+	cmd := exec.Command(bin, "-addr", addr, "-rate", "0", "-store", store,
+		"-lanes", strconv.Itoa(serveClients))
 	cmd.Stdout = io.Discard
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -403,9 +422,13 @@ func runServeWarm(o options) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
+	nStims := 0
+	for _, g := range stims {
+		nStims += len(g)
+	}
 	rep.counters["checks"] = len(checks)
-	rep.counters["stimuli"] = len(stims)
-	got := servePin{Checks: len(checks), Stimuli: len(stims), SHA256: referenceDigest(checks, stims)}
+	rep.counters["stimuli"] = nStims
+	got := servePin{Checks: len(checks), Stimuli: nStims, SHA256: referenceDigest(checks, stims)}
 	if err := checkServePin(o, pins, input, got, rep); err != nil {
 		return nil, err
 	}
@@ -452,28 +475,52 @@ func runServeWarm(o options) (*report, error) {
 	if o.trace {
 		tr = newTracer()
 	}
-	res := replay(o, tr, client, srv.base, checks, stims, input)
-	rep.setup = res.start.Sub(o.start)
-	rep.attempted += res.attempted
-	rep.failed += res.failed
-	rep.check("replay", res.failed == 0, "%d of %d replies wrong: %v", res.failed, res.attempted, res.firstErr)
-
+	timed := time.Duration(o.seconds * float64(time.Second))
+	chk := replay(tr, "serve.check", client, srv.base, time.Duration(checkShare*float64(timed)), input,
+		func(_ int, rng *rand.Rand) request { return checks[rng.Intn(len(checks))] })
+	rep.setup = chk.start.Sub(o.start)
+	before, err := srv.metrics(client)
+	if err != nil {
+		return nil, fmt.Errorf("GET /metrics: %w", err)
+	}
+	// Both clients walk the designs in the same order, stimulusBlock
+	// requests on each, so their stimuli meet in the same batch group.
+	stim := replay(tr, "serve.stimulus", client, srv.base, timed-chk.elapsed, input+(1<<20),
+		func(step int, rng *rand.Rand) request {
+			g := stims[(step/stimulusBlock)%len(stims)]
+			return g[rng.Intn(len(g))]
+		})
 	sm, err := srv.metrics(client)
 	if err != nil {
 		return nil, fmt.Errorf("GET /metrics: %w", err)
 	}
+	for _, ph := range []phaseResult{chk, stim} {
+		rep.attempted += ph.attempted
+		rep.failed += ph.failed
+	}
+	rep.check("check_replay", chk.failed == 0, "%d of %d /check replies wrong: %v", chk.failed, chk.attempted, chk.firstErr)
+	rep.check("stimulus_phase", stim.failed == 0, "%d of %d /stimulus replies wrong: %v", stim.failed, stim.attempted, stim.firstErr)
 	rep.counters["verify"] = map[string]uint64{"hits": sm.Verify.Hits, "misses": sm.Verify.Misses,
 		"coalesced": sm.Verify.Coalesced, "disk_hits": sm.Verify.DiskHits}
 	rss := srv.peakRSSMB()
 
-	all := append(append([]time.Duration(nil), res.check...), res.stim...)
-	throughput := float64(res.attempted) / res.elapsed.Seconds()
-	p50, p99 := quantileDur(all, 0.5), quantileDur(all, 0.99)
-	rep.figures["qps"] = metric{Value: throughput, Unit: "req/s", N: res.attempted}
-	rep.figures["check_p50_ms"] = metric{Value: ms(quantileDur(res.check, 0.5)), Unit: "ms", N: len(res.check)}
-	rep.figures["check_p99_ms"] = metric{Value: ms(quantileDur(res.check, 0.99)), Unit: "ms", N: len(res.check)}
-	rep.figures["stimulus_p50_ms"] = metric{Value: ms(quantileDur(res.stim, 0.5)), Unit: "ms", N: len(res.stim)}
-	rep.figures["stimulus_p99_ms"] = metric{Value: ms(quantileDur(res.stim, 0.99)), Unit: "ms", N: len(res.stim)}
+	// The end-to-end figures are the /check replay's alone.
+	throughput := float64(chk.attempted) / chk.elapsed.Seconds()
+	p50, p99 := quantileDur(chk.lat, 0.5), quantileDur(chk.lat, 0.99)
+	batchedRuns := sm.Server.BatchedRuns - before.Server.BatchedRuns
+	lanesPerBatch := 0.0
+	if batchedRuns > 0 {
+		lanesPerBatch = float64(sm.Server.BatchedStimuli-before.Server.BatchedStimuli) / float64(batchedRuns)
+	}
+	scalarRuns := sm.Server.ScalarRuns - before.Server.ScalarRuns
+	rep.figures["qps"] = metric{Value: throughput, Unit: "req/s", N: chk.attempted}
+	rep.figures["check_p50_ms"] = metric{Value: ms(p50), Unit: "ms", N: len(chk.lat)}
+	rep.figures["check_p99_ms"] = metric{Value: ms(p99), Unit: "ms", N: len(chk.lat)}
+	rep.figures["stimuli_per_s"] = metric{Value: float64(stim.attempted) / stim.elapsed.Seconds(), Unit: "req/s", N: stim.attempted}
+	rep.figures["stimulus_p50_ms"] = metric{Value: ms(quantileDur(stim.lat, 0.5)), Unit: "ms", N: len(stim.lat)}
+	rep.figures["stimulus_p99_ms"] = metric{Value: ms(quantileDur(stim.lat, 0.99)), Unit: "ms", N: len(stim.lat)}
+	rep.figures["lanes_per_batch"] = metric{Value: lanesPerBatch, Unit: "ratio", N: int(batchedRuns)}
+	rep.figures["stimulus_scalar_runs"] = metric{Value: float64(scalarRuns), Unit: "count"}
 	rep.figures["max_rss_mb"] = metric{Value: rss, Unit: "MB"}
 
 	if tr != nil {
@@ -486,12 +533,8 @@ func runServeWarm(o options) (*report, error) {
 		pl["serve.metrics_rtt_us"] = metric{Value: us(statOf(st, "serve.metrics").median()), Unit: "us"}
 		pl["serve.check_hit_us"] = metric{Value: us(statOf(st, "serve.check").median()), Unit: "us"}
 		pl["serve.stimulus_us"] = metric{Value: us(statOf(st, "serve.stimulus").median()), Unit: "us"}
-		lpb := 0.0
-		if sm.Server.BatchedRuns > 0 {
-			lpb = float64(sm.Server.BatchedStimuli) / float64(sm.Server.BatchedRuns)
-		}
-		pl["serve.lanes_per_batch"] = metric{Value: lpb, Unit: "ratio"}
-		pl["serve.scalar_runs"] = metric{Value: float64(sm.Server.ScalarRuns), Unit: "count"}
+		pl["serve.lanes_per_batch"] = metric{Value: lanesPerBatch, Unit: "ratio"}
+		pl["serve.scalar_runs"] = metric{Value: float64(scalarRuns), Unit: "count"}
 		pl["serve.rejected"] = metric{Value: float64(sm.Server.RejectedQueue + sm.Server.RejectedRate), Unit: "count"}
 		verifyCounters(pl, sm.Verify)
 		if err := diskLayer(tr, pl, tmp, recs); err != nil {
@@ -521,26 +564,23 @@ func runServeWarm(o options) (*report, error) {
 	return rep, nil
 }
 
-// replayResult is what the timed phase observed.
-type replayResult struct {
+// phaseResult is what one timed phase observed.
+type phaseResult struct {
 	start             time.Time
 	elapsed           time.Duration
-	check, stim       []time.Duration
+	lat               []time.Duration
 	attempted, failed int
 	firstErr          error
 }
 
-// replay runs serveClients closed-loop clients for o.seconds, each drawing
-// its next request from its own seeded stream.
-func replay(o options, tr *tracer, c *http.Client, base string, checks, stims []request, seed int64) replayResult {
-	type clientResult struct {
-		check, stim       []time.Duration
-		attempted, failed int
-		err               error
-	}
-	results := make([]clientResult, serveClients)
-	res := replayResult{start: time.Now()}
-	deadline := res.start.Add(time.Duration(o.seconds * float64(time.Second)))
+// replay runs serveClients closed-loop clients for d. Client w draws its
+// step-th request from next with its own seeded stream; spans (traced run
+// only) are named span.
+func replay(tr *tracer, span string, c *http.Client, base string, d time.Duration, seed int64,
+	next func(step int, rng *rand.Rand) request) phaseResult {
+	results := make([]phaseResult, serveClients)
+	res := phaseResult{start: time.Now()}
+	deadline := res.start.Add(d)
 	var wg sync.WaitGroup
 	for w := 0; w < serveClients; w++ {
 		wg.Add(1)
@@ -548,26 +588,23 @@ func replay(o options, tr *tracer, c *http.Client, base string, checks, stims []
 			defer wg.Done()
 			cr := &results[w]
 			rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
-			for time.Now().Before(deadline) {
-				r, name, into := checks[rng.Intn(len(checks))], "serve.check", &cr.check
-				if len(stims) > 0 && rng.Float64() < stimulusShare {
-					r, name, into = stims[rng.Intn(len(stims))], "serve.stimulus", &cr.stim
-				}
+			for step := 0; time.Now().Before(deadline); step++ {
+				r := next(step, rng)
 				id := 0
 				if tr != nil {
-					id = tr.start(name, 0)
+					id = tr.start(span, 0)
 				}
 				t := time.Now()
 				err := do(c, base, r)
-				*into = append(*into, time.Since(t))
+				cr.lat = append(cr.lat, time.Since(t))
 				if tr != nil {
 					tr.end(id)
 				}
 				cr.attempted++
 				if err != nil {
 					cr.failed++
-					if cr.err == nil {
-						cr.err = err
+					if cr.firstErr == nil {
+						cr.firstErr = err
 					}
 				}
 			}
@@ -576,12 +613,11 @@ func replay(o options, tr *tracer, c *http.Client, base string, checks, stims []
 	wg.Wait()
 	res.elapsed = time.Since(res.start)
 	for _, cr := range results {
-		res.check = append(res.check, cr.check...)
-		res.stim = append(res.stim, cr.stim...)
+		res.lat = append(res.lat, cr.lat...)
 		res.attempted += cr.attempted
 		res.failed += cr.failed
 		if res.firstErr == nil {
-			res.firstErr = cr.err
+			res.firstErr = cr.firstErr
 		}
 	}
 	return res
