@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/formal"
 	"repro/internal/sim"
 	"repro/internal/sva"
 )
@@ -16,9 +17,9 @@ import (
 // Requests arriving within one batching window that drive the same design,
 // input list, depth and value domain become lanes of one packed simulation
 // (up to the lane cap); a group flushes when full or when its window timer
-// fires. Lanes whose packed check fails — and whole batches the lane
-// engine cannot handle — are replayed on the scalar engine, which carries
-// the full failure detail and is the semantic reference.
+// fires. formal.CheckStimuli decides each group, so failing lanes and
+// batches the lane engine cannot handle are answered by the scalar engine,
+// exactly as in a bounded check.
 type batcher struct {
 	lanes  int
 	window time.Duration
@@ -120,89 +121,45 @@ func (b *batcher) flush(g *group) {
 	b.run(g)
 }
 
-// run executes one detached group. The batch simulates under a background
-// context: one client disconnecting must not cancel the other lanes.
+// run executes one detached group through formal.CheckStimuli, under a
+// background context: one client disconnecting must not cancel the other
+// lanes, and CheckStimuli fails only when its context is cancelled.
+// Counters move before each delivery, so a client that has its answer
+// also sees it in /metrics.
 func (b *batcher) run(g *group) {
-	if len(g.subs) == 1 || b.lanes <= 1 {
-		for _, sub := range g.subs {
-			sub.deliver(b.runScalar(g.key, sub.stim))
-		}
-		return
-	}
 	stims := make([]sim.VecStimulus, len(g.subs))
 	for i, sub := range g.subs {
 		stims[i] = sub.stim
 	}
-	ls, err := sim.PackStimuli(stims)
-	if err == nil {
-		var lt *sim.LaneTrace
-		lt, err = sim.RunLanesCtx(context.Background(), g.key.d, ls, g.key.mode)
-		if err == nil {
-			var lr *sva.LaneResult
-			lr, err = sva.CheckLanes(lt)
-			if err == nil {
+	name := g.key.d.Module.Name
+	i := 0
+	_ = formal.CheckStimuli(context.Background(), g.key.d, g.key.mode, stims, func(o formal.Outcome) bool {
+		sub := g.subs[i]
+		if !o.Laned {
+			b.scalar.Add(1)
+		} else {
+			if i == 0 {
 				b.runs.Add(1)
-				b.batched.Add(uint64(len(g.subs)))
-				for l, sub := range g.subs {
-					sub.deliver(b.laneOutcome(g.key, lt, lr, l))
-				}
-				return
+			}
+			b.batched.Add(1)
+		}
+		i++
+		if o.Err != nil {
+			sub.deliver(submitResult{err: o.Err})
+			return true
+		}
+		resp := stimulusResponse{Pass: !o.Failed, Batched: o.Laned}
+		if o.Check == nil {
+			resp.Log = sva.PassLog(name, len(sub.stim.Rows))
+		} else {
+			resp.Log = sva.FormatLog(name, o.Trace, o.Check.Failures)
+			for _, f := range o.Check.Failures {
+				resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
 			}
 		}
-	}
-	// Lane engine unavailable for this batch (multi-clock design,
-	// un-lowered expression, execution error in any lane): replay every
-	// lane on the scalar engine, which reproduces scalar semantics exactly.
-	for _, sub := range g.subs {
-		sub.deliver(b.runScalar(g.key, sub.stim))
-	}
-}
-
-// laneOutcome reads lane l's verdict out of a packed run. Failing lanes
-// are demuxed and re-checked scalar so the response carries the same
-// failure log a scalar run would have produced.
-func (b *batcher) laneOutcome(key groupKey, lt *sim.LaneTrace, lr *sva.LaneResult, l int) submitResult {
-	if lr.Failed>>uint(l)&1 == 0 {
-		return submitResult{resp: stimulusResponse{
-			Pass:    true,
-			Log:     fmt.Sprintf("%s: all assertions passed (%d cycles)\n", key.d.Module.Name, lt.Len()),
-			Batched: true,
-		}}
-	}
-	res, err := sva.Check(lt.Demux(l))
-	if err != nil {
-		return submitResult{err: err}
-	}
-	resp := stimulusResponse{
-		Pass:    !res.Failed(),
-		Log:     sva.FormatLog(key.d.Module.Name, lt.Demux(l), res.Failures),
-		Batched: true,
-	}
-	for _, f := range res.Failures {
-		resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
-	}
-	return submitResult{resp: resp}
-}
-
-// runScalar answers one stimulus on the scalar engine.
-func (b *batcher) runScalar(key groupKey, stim sim.VecStimulus) submitResult {
-	b.scalar.Add(1)
-	tr, err := sim.RunVecCtx(context.Background(), key.d, stim, key.mode)
-	if err != nil {
-		return submitResult{err: err}
-	}
-	res, err := sva.Check(tr)
-	if err != nil {
-		return submitResult{err: err}
-	}
-	resp := stimulusResponse{
-		Pass: !res.Failed(),
-		Log:  sva.FormatLog(key.d.Module.Name, tr, res.Failures),
-	}
-	for _, f := range res.Failures {
-		resp.FailedAsserts = appendUnique(resp.FailedAsserts, f.Assert.Name)
-	}
-	return submitResult{resp: resp}
+		sub.deliver(submitResult{resp: resp})
+		return true
+	})
 }
 
 func (s *submission) deliver(r submitResult) {

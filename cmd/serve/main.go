@@ -77,7 +77,7 @@ func main() {
 		BatchWindow: *window,
 		BatchLanes:  *lanes,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes(), ReadHeaderTimeout: readHeaderTimeout}
 
 	done := make(chan struct{})
 	go func() {
@@ -104,6 +104,16 @@ func main() {
 		}
 	}
 }
+
+const (
+	// maxBodyBytes bounds a /check or /stimulus body; larger ones get 413.
+	// Catalog and generated designs are a few KiB of source.
+	maxBodyBytes = 4 << 20
+	// readHeaderTimeout bounds how long a client may take to send request
+	// headers. Bodies and replies are not timed: cold checks run long,
+	// and a client that disconnects cancels its check.
+	readHeaderTimeout = 10 * time.Second
+)
 
 // serverConfig bundles the admission, rate-limit and batching knobs.
 type serverConfig struct {
@@ -235,22 +245,46 @@ type checkResponse struct {
 }
 
 // parseAssertions parses candidate assertion item text by wrapping it in a
-// throwaway module.
+// throwaway module. Error positions are shifted past the wrapper's first
+// line, so they point into the client's text.
 func parseAssertions(text string) ([]verilog.Item, error) {
 	if strings.TrimSpace(text) == "" {
 		return nil, nil
 	}
 	m, err := verilog.Parse("module __assertions__(input clk);\n" + text + "\nendmodule\n")
 	if err != nil {
+		var le *verilog.LexError
+		var pe *verilog.ParseError
+		switch {
+		case errors.As(err, &le):
+			le.Pos.Line--
+		case errors.As(err, &pe):
+			pe.Pos.Line--
+		}
 		return nil, fmt.Errorf("assertions: %w", err)
 	}
 	return m.Items, nil
 }
 
+// decodeBody reads a JSON request body of at most maxBodyBytes into v. On
+// failure it has already replied: 413 for an oversize body, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
+}
+
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req checkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" {
@@ -328,8 +362,7 @@ type stimulusResponse struct {
 
 func (s *server) handleStimulus(w http.ResponseWriter, r *http.Request) {
 	var req stimulusRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" || len(req.Rows) == 0 {

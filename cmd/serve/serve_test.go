@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -446,5 +448,131 @@ func TestServeAdmissionQueue(t *testing.T) {
 			t.Fatalf("queue slot never freed after client disconnect (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeStimulusLanesMatchScalar is the lanes-vs-scalar contract at the
+// HTTP boundary: concurrent /stimulus requests answered from lane batches
+// must carry byte-for-byte the verdict, failed assertions and log that a
+// scalar-only server returns, for passing and failing stimuli alike. The
+// multi-clock fixture is a design the lane checker declines, so its whole
+// batch falls back to the scalar engine.
+func TestServeStimulusLanesMatchScalar(t *testing.T) {
+	multiclock, err := os.ReadFile("../../internal/fuzz/testdata/regressions/lane_sva_multiclock.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := strings.Replace(corpus.EdgeDetect().Source(),
+		"assign pulse = sig && !sig_d;", "assign pulse = sig;", 1)
+	var reqs []stimulusRequest
+	for _, sig := range [][]uint64{
+		{0, 0, 0, 0, 0, 0}, {0, 1, 0, 1, 0, 1}, {0, 1, 1, 0, 0, 1},
+		{1, 1, 1, 1, 1, 1}, {0, 0, 1, 1, 0, 0}, {0, 1, 0, 0, 1, 1},
+	} {
+		rows := make([][]uint64, len(sig))
+		for c, v := range sig {
+			rows[c] = []uint64{v}
+		}
+		reqs = append(reqs, stimulusRequest{Source: edge, Rows: rows})
+	}
+	// The fixture's own assertion holds on every stimulus; its "&& d"
+	// variant fails wherever d is low at a clk2 edge.
+	strict := strings.Replace(string(multiclock), "$stable(r0) || d", "$stable(r0) && d", 1)
+	const mcCases = 4
+	for k := uint64(0); k < mcCases; k++ {
+		// Columns clk, clk2, d: clk2 rises on rows 2, 6 and 10; d is high
+		// at the first rise and falls by the third (k < 2) or second.
+		src := [2]string{string(multiclock), strict}[k%2]
+		rows := make([][]uint64, 12)
+		for c := range rows {
+			rows[c] = []uint64{uint64(c) & 1, uint64(c) >> 1 & 1, 3 >> uint(c/4+int(k/2)) & 1}
+		}
+		reqs = append(reqs, stimulusRequest{Source: src, Inputs: []string{"clk", "clk2", "d"}, Rows: rows})
+	}
+
+	answer := func(cfg serverConfig) ([]stimulusResponse, serverMetrics) {
+		ts, _ := testServer(t, nil, cfg)
+		got := make([]stimulusResponse, len(reqs))
+		var wg sync.WaitGroup
+		for i, req := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, body := postJSON(t, ts.URL+"/stimulus", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+					return
+				}
+				if err := json.Unmarshal(body, &got[i]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		return got, getMetrics(t, ts.URL).Server
+	}
+	lane, lm := answer(serverConfig{BatchWindow: 100 * time.Millisecond, BatchLanes: 8})
+	scalar, sm := answer(serverConfig{BatchLanes: 1})
+
+	passing, failing := 0, 0
+	for i := range reqs {
+		l, s := lane[i], scalar[i]
+		if l.Pass != s.Pass || !reflect.DeepEqual(l.FailedAsserts, s.FailedAsserts) || l.Log != s.Log {
+			t.Fatalf("request %d: lane server answered\n%+v\nscalar server answered\n%+v", i, l, s)
+		}
+		if s.Pass {
+			passing++
+		} else {
+			failing++
+		}
+	}
+	if passing == 0 || failing == 0 {
+		t.Fatalf("%d passing and %d failing stimuli, want both kinds", passing, failing)
+	}
+	if total := lm.BatchedStimuli + lm.ScalarRuns; total != uint64(len(reqs)) {
+		t.Fatalf("lane server: batched(%d) + scalar(%d) = %d, want %d", lm.BatchedStimuli, lm.ScalarRuns, total, len(reqs))
+	}
+	if lm.BatchedRuns == 0 || lm.ScalarRuns < mcCases {
+		t.Fatalf("lane server: %+v, want lane runs and >= %d scalar multi-clock stimuli", lm, mcCases)
+	}
+	if sm.BatchedRuns != 0 || sm.ScalarRuns != uint64(len(reqs)) {
+		t.Fatalf("scalar server: %+v, want every stimulus scalar", sm)
+	}
+}
+
+// TestServeAssertionErrorPositions: a candidate-assertion syntax error is
+// reported at its line in the client's text, not in the wrapper module the
+// server parses it inside.
+func TestServeAssertionErrorPositions(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	for _, tc := range []struct{ text, want string }{
+		{"p_ok: assert property (@(posedge clk) sig);\n" +
+			"p_bad: assert property (@(posedge clk) ;\n", "assertions: 2:40: syntax error"},
+		{"p: assert property (@(posedge clk) 4'q1);\n", "assertions: 1:36: invalid base specifier"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/check", checkRequest{
+			Source: corpus.EdgeDetect().Source(), Assertions: tc.text,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(body), tc.want) {
+			t.Fatalf("assertions %q: status %d %q, want 400 %q...", tc.text, resp.StatusCode, body, tc.want)
+		}
+	}
+}
+
+// TestServeBodyLimit: a request body past maxBodyBytes is refused with 413
+// on both POST endpoints, before it is decoded.
+func TestServeBodyLimit(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	huge := strings.Repeat(" ", maxBodyBytes)
+	for path, body := range map[string]any{
+		"/check":    checkRequest{Source: huge},
+		"/stimulus": stimulusRequest{Source: huge, Rows: [][]uint64{{0}}},
+	} {
+		if resp, out := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte source: status %d (%.80s), want 413", path, len(huge), resp.StatusCode, out)
+		}
 	}
 }

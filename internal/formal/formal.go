@@ -54,13 +54,13 @@ type Options struct {
 	// sequences as the default two-state check, which remains the compiled
 	// fast path.
 	FourState bool
-	// Lanes batches stimuli through the lane-parallel engine (sim.RunLanes),
-	// up to Lanes at a time (max 64). Zero and one both mean scalar mode —
-	// the zero value must stay a safe default, like the NoRandom sentinel —
-	// and designs the lane compiler cannot lower fall back to scalar runs
-	// automatically. Results are byte-identical to scalar mode: failing
-	// lanes are demuxed and replayed on the scalar engine, and run counts
-	// and attempt bookkeeping follow the same enumeration order.
+	// Lanes batches stimuli through CheckStimuli, up to Lanes at a time
+	// (max 64). Zero and one both mean scalar mode — the zero value must
+	// stay a safe default, like the NoRandom sentinel. CheckStimuli's
+	// fallback policy makes results byte-identical to scalar mode: designs
+	// the lane compiler cannot lower run scalar, failing lanes are replayed
+	// on the scalar engine, and run counts and attempt bookkeeping follow
+	// the same enumeration order.
 	Lanes int
 }
 
@@ -136,91 +136,47 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	if opts.FourState {
 		mode = sim.FourState
 	}
-	runOne := func(stim sim.VecStimulus) (bool, error) {
+	var runErr error
+	visit := func(o Outcome) bool {
+		if o.Err != nil {
+			runErr = o.Err
+			return false
+		}
 		res.Runs++
-		tr, err := sim.RunVecCtx(ctx, d, stim, mode)
-		if err != nil {
-			return false, err
-		}
-		cres, err := sva.Check(tr)
-		if err != nil {
-			return false, err
-		}
-		for name := range cres.Attempts {
-			attempted[name] = true
-		}
-		if cres.Failed() {
-			f := cres.FirstFailure()
-			res.Pass = false
-			res.Failure = f
-			res.Trace = tr
-			res.Log = sva.FormatLog(d.Module.Name, tr, cres.Failures)
-			return true, nil
-		}
-		return false, nil
-	}
-
-	// Lane batching: strategies submit stimuli in enumeration order; full
-	// batches run 64-wide through the lane engine, and sva.CheckLanes
-	// decides all lanes from packed truth words. Passing lanes only touch
-	// the run/attempt bookkeeping; the first failing lane (in submission
-	// order) is replayed on the scalar engine so Failure/Trace/Log — and
-	// Runs — come out byte-identical to a scalar check. Any lane-engine
-	// error demotes the batch to scalar runs, which *is* the reference
-	// behaviour, so correctness never depends on the lane compiler covering
-	// a construct.
-	useLanes := opts.Lanes > 1 && sim.LanesOK(d, mode)
-	var batch []sim.VecStimulus
-
-	runScalarBatch := func(stims []sim.VecStimulus) (bool, error) {
-		for _, st := range stims {
-			if stop, err := runOne(st); err != nil || stop {
-				return stop, err
+		if len(attempted) < len(d.Asserts) {
+			for _, a := range d.Asserts {
+				if !attempted[a.Name] && o.Attempted(a.Name) {
+					attempted[a.Name] = true
+				}
 			}
 		}
-		return false, nil
+		if o.Failed {
+			res.Pass = false
+			res.Failure = o.Check.FirstFailure()
+			res.Trace = o.Trace
+			res.Log = sva.FormatLog(d.Module.Name, o.Trace, o.Check.Failures)
+			return false
+		}
+		return true
 	}
 
+	// Strategies submit stimuli in enumeration order and CheckStimuli
+	// decides each batch; Lanes 0 makes every submission a batch of one.
+	// Runs and attempt bookkeeping follow submission order either way, so
+	// a lane-batched check stops where a scalar one does.
+	size := max(opts.Lanes, 1)
+	var one [1]sim.VecStimulus // scalar batches stay off the heap
+	batch := one[:0]
 	flush := func() (bool, error) {
-		stims := batch
-		batch = nil
-		if len(stims) == 0 {
+		if len(batch) == 0 {
 			return false, nil
 		}
-		ls, err := sim.PackStimuli(stims)
-		if err != nil {
-			return runScalarBatch(stims)
+		err := CheckStimuli(ctx, d, mode, batch, visit)
+		batch = batch[:0]
+		if err == nil {
+			err = runErr
 		}
-		lt, err := sim.RunLanesCtx(ctx, d, ls, mode)
-		if err != nil {
-			if ctx.Err() != nil {
-				// A cancelled batch is not a lane-engine shortfall; don't
-				// demote to scalar replays that would each re-fail the same way.
-				return false, ctx.Err()
-			}
-			return runScalarBatch(stims)
-		}
-		lres, err := sva.CheckLanes(lt)
-		if err != nil {
-			return runScalarBatch(stims)
-		}
-		for l, st := range stims {
-			if lres.Failed>>uint(l)&1 == 1 {
-				// Scalar replay of the failing lane; earlier lanes passed and
-				// are already counted, so the stop point matches scalar runs.
-				if stop, err := runOne(st); err != nil || stop {
-					return stop, err
-				}
-				continue // lane engine over-reported; trust the scalar verdict
-			}
-			res.Runs++
-			for name, w := range lres.Attempted {
-				if w>>uint(l)&1 == 1 {
-					attempted[name] = true
-				}
-			}
-		}
-		return false, nil
+		return !res.Pass, err
 	}
 
 	submit := func(stim sim.VecStimulus) (bool, error) {
@@ -232,11 +188,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 			return false, ctx.Err()
 		default:
 		}
-		if !useLanes {
-			return runOne(stim)
-		}
 		batch = append(batch, stim)
-		if len(batch) >= opts.Lanes {
+		if len(batch) >= size {
 			return flush()
 		}
 		return false, nil
@@ -278,10 +231,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 				return finish(), nil
 			}
 		}
-		if stop, err := flush(); err != nil {
+		if _, err := flush(); err != nil {
 			return nil, err
-		} else if stop {
-			return finish(), nil
 		}
 		return finish(), nil
 	}
@@ -323,10 +274,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 			return finish(), nil
 		}
 	}
-	if stop, err := flush(); err != nil {
+	if _, err := flush(); err != nil {
 		return nil, err
-	} else if stop {
-		return finish(), nil
 	}
 	return finish(), nil
 }

@@ -2,12 +2,15 @@ package formal
 
 import (
 	"context"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bugs"
 	"repro/internal/compile"
 	"repro/internal/corpus"
+	"repro/internal/sim"
 	"repro/internal/sva"
 	"repro/internal/verilog"
 )
@@ -98,5 +101,70 @@ func TestLanesZeroSentinel(t *testing.T) {
 		if !res.Pass {
 			t.Fatalf("Lanes %d: golden design failed: %s", lanes, res.Log)
 		}
+	}
+}
+
+// TestCheckStimuliPolicy pins the batch checker's two walks: a lane batch
+// reports every stimulus as laned and carries scalar detail exactly on the
+// failing ones, and a batch the lane checker declines (multi-clock) runs
+// scalar and stops as soon as visit says so.
+func TestCheckStimuliPolicy(t *testing.T) {
+	compileSrc := func(src string) *compile.Design {
+		d, diags, err := compile.Compile(src)
+		if err != nil || compile.HasErrors(diags) {
+			t.Fatalf("fixture does not compile: %v %v", err, diags)
+		}
+		return d
+	}
+	stims := func(d *compile.Design, rows ...[]uint64) []sim.VecStimulus {
+		var out []sim.VecStimulus
+		for _, sig := range rows {
+			st := sim.VecStimulus{Inputs: d.Inputs(true)}
+			for _, v := range sig {
+				st.Rows = append(st.Rows, []uint64{v})
+			}
+			out = append(out, st)
+		}
+		return out
+	}
+
+	// pulse = sig fails p_no_repeat whenever sig is held high.
+	edge := compileSrc(strings.Replace(corpus.EdgeDetect().Source(),
+		"assign pulse = sig && !sig_d;", "assign pulse = sig;", 1))
+	batch := stims(edge, []uint64{0, 0, 0, 0}, []uint64{0, 1, 1, 0}, []uint64{0, 1, 0, 1})
+	var got []Outcome
+	if err := CheckStimuli(context.Background(), edge, sim.TwoState, batch, func(o Outcome) bool {
+		got = append(got, o)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(batch) {
+		t.Fatalf("visited %d of %d stimuli", len(got), len(batch))
+	}
+	for i, o := range got {
+		if o.Err != nil || !o.Laned || o.Failed != (i == 1) || (o.Check != nil) != o.Failed {
+			t.Fatalf("stimulus %d: %+v, want laned, failed=%v, scalar detail only when failed", i, o, i == 1)
+		}
+	}
+
+	src, err := os.ReadFile("../fuzz/testdata/regressions/lane_sva_multiclock.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := compileSrc(string(src))
+	mcStim := sim.VecStimulus{Inputs: mc.Inputs(true), Rows: [][]uint64{{0, 1}, {1, 0}, {0, 0}}} // clk2, d
+	visits := 0
+	if err := CheckStimuli(context.Background(), mc, sim.TwoState, []sim.VecStimulus{mcStim, mcStim}, func(o Outcome) bool {
+		visits++
+		if o.Err != nil || o.Laned || o.Check == nil {
+			t.Fatalf("multi-clock stimulus: %+v, want a scalar outcome", o)
+		}
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if visits != 1 {
+		t.Fatalf("visit returned false but was called %d times", visits)
 	}
 }

@@ -47,9 +47,11 @@
 // sva.CheckLanes must reproduce the per-lane scalar verdicts. Anything
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
-// expressions — is reported as an error for the whole batch, and callers
-// (internal/formal, internal/verify) rerun the batch lane-by-lane on the
-// scalar engine. LanesOK reports lowering support up front; PackStimuli
+// expressions — is reported as an error for the whole batch.
+// formal.CheckStimuli, the one batch checker behind formal.Check and
+// cmd/serve, then reruns the batch lane by lane on the scalar engine, and
+// it replays every failing lane there too. LanesOK reports lowering
+// support up front; PackStimuli
 // accepts 1..64 stimuli of equal depth and replicates the last lane to
 // fill the word, with ActiveMask masking the padding back out at the API
 // boundary. Results are therefore identical with lanes on or off; only

@@ -97,10 +97,10 @@ func (p *Plan) lanes() *LanePlan {
 
 // LanesOK reports whether the design can run lane-parallel in the given
 // value domain with every assertion expression batched per lane-word — the
-// precondition internal/formal checks before filling lanes. Multi-clock
-// designs are excluded: the lane engine itself handles them (per-lane fired
-// masks), but the lane-batched assertion evaluation has no per-domain tick
-// schedule, so formal falls back to the scalar engine there.
+// precondition formal.CheckStimuli checks before packing a batch.
+// Multi-clock designs are excluded: the lane engine itself handles them
+// (per-lane fired masks), but the lane-batched assertion evaluation has no
+// per-domain tick schedule, so batches of them run on the scalar engine.
 func LanesOK(d *compile.Design, mode Mode) bool {
 	if d.MultiClock() {
 		return false

@@ -98,9 +98,6 @@ func (s *Simulator) Get(name string) (uint64, bool) {
 	return v.Val, ok
 }
 
-// Get4 returns the current four-state value of any signal.
-func (s *Simulator) Get4(name string) (V4, bool) { return s.get4(name) }
-
 func (s *Simulator) get4(name string) (V4, bool) {
 	sig := s.design.Signals[name]
 	if sig == nil {
@@ -402,7 +399,7 @@ func (s *Simulator) Step() error {
 
 // Settle re-evaluates combinational logic against the current inputs without
 // advancing the clock. Callers that need a preponed sample (the value set
-// just before the clock edge) call Settle, read Snapshot, then Edge.
+// just before the clock edge) call Settle, read the signals, then Edge.
 func (s *Simulator) Settle() error { return s.settle() }
 
 // Edge executes the clock edge only: sequential blocks run against the
@@ -533,16 +530,6 @@ func (s *Simulator) execSeq(stmt verilog.Stmt, commit, blocking map[string]V4) e
 		return nil
 	}
 	return nil
-}
-
-// Snapshot copies the current value of every signal, keyed by name (known
-// plane only; unknown bits read as 0).
-func (s *Simulator) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.design.Order))
-	for _, name := range s.design.Order {
-		out[name] = s.vals[name]
-	}
-	return out
 }
 
 // snapshotRow copies the current known-bit values into a dense slot vector.

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/compile"
@@ -91,18 +90,6 @@ func (t *Trace) DomainCycles(domain int) []int {
 		}
 	}
 	return out
-}
-
-// Row returns the slot vector sampled at cycle (shared, read-only).
-func (t *Trace) Row(cycle int) []uint64 { return t.rows[cycle] }
-
-// UnkRow returns the unknown-bit slot vector sampled at cycle, or nil for a
-// two-state trace (shared, read-only).
-func (t *Trace) UnkRow(cycle int) []uint64 {
-	if t.unks == nil {
-		return nil
-	}
-	return t.unks[cycle]
 }
 
 // CompiledExpr evaluates an expression at a sampled cycle of one trace.
@@ -265,23 +252,6 @@ func (t *Trace) Format(names []string) string {
 // The clock itself is implicit (one rising edge per entry). Reset values are
 // supplied like any other input.
 type Stimulus []map[string]uint64
-
-// InputNames returns the sorted set of input names mentioned anywhere in the
-// stimulus, used for validation and logging.
-func (st Stimulus) InputNames() []string {
-	set := map[string]bool{}
-	for _, cyc := range st {
-		for name := range cyc {
-			set[name] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // VecStimulus drives a fixed input list with dense per-cycle vectors:
 // Rows[c][i] is the value of Inputs[i] at cycle c. It is the slot-addressed

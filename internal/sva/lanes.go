@@ -8,11 +8,12 @@ import (
 )
 
 // LaneResult summarises checking all assertions against one lane batch.
-// It deliberately carries only what the formal driver needs to stay
-// byte-equivalent with scalar runs: which lanes failed (those are demuxed
-// and replayed on the scalar engine for the full Failure/log detail) and,
-// per assertion, which lanes logged at least one counted (non-vacuous)
-// attempt — formal.Check only records attempted-ness, not counts.
+// It deliberately carries only what formal.CheckStimuli, the one batch
+// checker, needs to stay byte-equivalent with scalar runs: which lanes
+// failed (those are replayed on the scalar engine for the full
+// Failure/log detail) and, per assertion, which lanes logged at least one
+// counted (non-vacuous) attempt — callers record attempted-ness, not
+// counts.
 type LaneResult struct {
 	// Failed has bit l set when lane l failed at least one assertion.
 	Failed uint64
@@ -25,8 +26,8 @@ type LaneResult struct {
 // lanes at once, running the same bounded attempt automaton as Check but on
 // packed truth words: one word op decides a term for 64 lanes. It returns
 // an error when any property expression was not lane-compiled (or fails to
-// evaluate); callers fall back to demuxing and checking per lane, which
-// reproduces scalar semantics exactly.
+// evaluate); formal.CheckStimuli then reruns the batch on the scalar
+// engine, which reproduces scalar semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions
 	// sample only on their own clock's ticks, and each lane carries its own

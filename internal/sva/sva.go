@@ -274,12 +274,18 @@ func evalAttempt(tr *sim.Trace, ca compiledAssert, ticks []int, start int) (atte
 	return attemptOutcome{kind: attemptPass}, nil
 }
 
+// PassLog is FormatLog's text for a trace of the given length on which no
+// assertion failed.
+func PassLog(moduleName string, cycles int) string {
+	return fmt.Sprintf("%s: all assertions passed (%d cycles)\n", moduleName, cycles)
+}
+
 // FormatLog renders failures as the simulator/verifier log text attached to
 // dataset samples. The format is stable: the repair model parses assertion
 // names and signal values out of it.
 func FormatLog(moduleName string, tr *sim.Trace, failures []Failure) string {
 	if len(failures) == 0 {
-		return fmt.Sprintf("%s: all assertions passed (%d cycles)\n", moduleName, tr.Len())
+		return PassLog(moduleName, tr.Len())
 	}
 	var sb strings.Builder
 	// Group by assertion; report the first failure per assertion plus a

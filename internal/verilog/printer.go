@@ -31,14 +31,6 @@ func ExprString(e Expr) string {
 	return pr.expr(e, 0)
 }
 
-// StmtString renders a single statement at zero indentation, useful for
-// dataset "answer" snippets.
-func StmtString(s Stmt) string {
-	var pr printer
-	pr.stmt(s, 0)
-	return strings.TrimRight(pr.sb.String(), "\n")
-}
-
 type printer struct {
 	sb strings.Builder
 }
