@@ -17,7 +17,7 @@ import (
 // Requests arriving within one batching window that drive the same design,
 // input list, depth and value domain become lanes of one packed simulation
 // (up to the lane cap); a group flushes when full or when its window timer
-// fires. formal.CheckStimuli decides each group, so failing lanes and
+// fires. A formal.Checker decides each group, so failing lanes and
 // batches the lane engine cannot handle are answered by the scalar engine,
 // exactly as in a bounded check.
 type batcher struct {
@@ -121,7 +121,7 @@ func (b *batcher) flush(g *group) {
 	b.run(g)
 }
 
-// run executes one detached group through formal.CheckStimuli, under a
+// run executes one detached group through one formal.Checker, under a
 // background context: one client disconnecting must not cancel the other
 // lanes, and CheckStimuli fails only when its context is cancelled.
 // Counters move before each delivery, so a client that has its answer
@@ -133,7 +133,7 @@ func (b *batcher) run(g *group) {
 	}
 	name := g.key.d.Module.Name
 	i := 0
-	_ = formal.CheckStimuli(context.Background(), g.key.d, g.key.mode, stims, func(o formal.Outcome) bool {
+	_ = formal.NewChecker(g.key.d, g.key.mode).CheckStimuli(context.Background(), stims, func(o formal.Outcome) bool {
 		sub := g.subs[i]
 		if !o.Laned {
 			b.scalar.Add(1)
@@ -148,6 +148,8 @@ func (b *batcher) run(g *group) {
 			sub.deliver(submitResult{err: o.Err})
 			return true
 		}
+		// A passing scalar outcome's trace is valid only during this call,
+		// so the log is rendered here.
 		resp := stimulusResponse{Pass: !o.Failed, Batched: o.Laned}
 		if o.Check == nil {
 			resp.Log = sva.PassLog(name, len(sub.stim.Rows))

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -266,12 +267,20 @@ func parseAssertions(text string) ([]verilog.Item, error) {
 	return m.Items, nil
 }
 
-// decodeBody reads a JSON request body of at most maxBodyBytes into v. On
-// failure it has already replied: 413 for an oversize body, 400 otherwise.
+// decodeBody reads a JSON request body of at most maxBodyBytes into v: one
+// JSON value, followed by nothing but whitespace. On failure it has already
+// replied: 413 for an oversize body, 400 otherwise.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		// Anything but whitespace after the value: a second value, or
+		// bytes no value starts with (a syntax error from Token).
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("request body has data after the JSON value")
+		}
 	}
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError

@@ -576,3 +576,46 @@ func TestServeBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestServeTrailingBytes: a body is one JSON value. Trailing whitespace is
+// fine; a second value or stray bytes after the object are a 400, and an
+// oversize body stays a 413 however it ends.
+func TestServeTrailingBytes(t *testing.T) {
+	ts, _ := testServer(t, nil, serverConfig{})
+	obj, err := json.Marshal(checkRequest{Source: corpus.EdgeDetect().Source(), Options: checkOptions{Depth: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for body, want := range map[string]int{
+		string(obj) + " \n\t":       http.StatusOK,
+		string(obj) + ` {"garbage"`: http.StatusBadRequest,
+		string(obj) + ` {}`:         http.StatusBadRequest,
+		string(obj) + `x`:           http.StatusBadRequest,
+		string(obj) + `}`:           http.StatusBadRequest,
+		string(obj) + strings.Repeat(" ", maxBodyBytes) + "x": http.StatusRequestEntityTooLarge,
+	} {
+		if got := post(body); got != want {
+			t.Errorf("body ending %q: status %d, want %d", body[max(0, len(body)-12):], got, want)
+		}
+	}
+	for _, path := range []string{"/stimulus"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"rows":[[0]]} 1`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a trailing value: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+}

@@ -75,7 +75,7 @@ func main() {
 	must(err)
 
 	bIdx := domainIndex(d, "clk_b")
-	ticks := tr.DomainCycles(bIdx)
+	ticks := tr.DomainCycles(nil, bIdx)
 	fmt.Printf("=== simulation: %d rows, clk_b ticks on rows %v ===\n", tr.Len(), ticks)
 	fmt.Println("destination-domain view (sampled at clk_b ticks only):")
 	fmt.Println("  row  src  u_sync.meta  q")

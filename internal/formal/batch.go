@@ -2,6 +2,8 @@ package formal
 
 import (
 	"context"
+	"maps"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/sim"
@@ -9,6 +11,11 @@ import (
 )
 
 // Outcome is one stimulus's verdict as CheckStimuli reports it.
+//
+// A failing Outcome owns its Trace and Check: they are copies no later run
+// touches. A passing Outcome's Trace and Check belong to the Checker's
+// reused scalar engine and are valid only during the visit call that
+// receives them; the next scalar run overwrites both.
 type Outcome struct {
 	// Failed reports that at least one assertion failed. It is always the
 	// scalar engine's verdict: a failing lane is replayed before it counts.
@@ -37,9 +44,27 @@ func (o Outcome) Attempted(name string) bool {
 	return o.attempted[name]>>uint(o.lane)&1 == 1
 }
 
-// CheckStimuli checks d's assertions on each stimulus in order and hands
-// each outcome to visit; visit returning false stops the walk. It is the
-// one lane-batch policy behind Check and cmd/serve's /stimulus batches:
+// Checker decides stimuli for one design in one value domain. It owns the
+// scalar engine's reused state — a sim.Runner and an sva.Checker compiled
+// once against the runner's trace — so after the first run a scalar run
+// allocates nothing, and only a failing run copies its trace. A Checker is
+// not safe for concurrent use.
+type Checker struct {
+	d    *compile.Design
+	mode sim.Mode
+	run  *sim.Runner // built on the first scalar run
+	sva  sva.Checker
+}
+
+// NewChecker returns a Checker for d's assertions in the given domain.
+func NewChecker(d *compile.Design, mode sim.Mode) *Checker {
+	return &Checker{d: d, mode: mode}
+}
+
+// CheckStimuli checks the design's assertions on each stimulus in order
+// and hands each outcome to visit; visit returning false stops the walk.
+// It is the one lane-batch policy behind Check and cmd/serve's /stimulus
+// batches:
 //
 //   - a batch of one, or a design sim.LanesOK rejects, runs scalar;
 //   - otherwise the batch is packed (sim.PackStimuli), simulated by
@@ -47,20 +72,20 @@ func (o Outcome) Attempted(name string) bool {
 //   - any lane-engine error other than cancellation reruns the batch on
 //     the scalar engine, which is the reference semantics, so correctness
 //     never depends on the lane compiler covering a construct;
-//   - a failing lane is replayed with sim.RunVecCtx and sva.Check, so its
-//     Trace and failures come from the scalar engine, and when the replay
-//     passes (the lane over-reported) the scalar verdict stands.
+//   - a failing lane is replayed on the scalar engine, so its Trace and
+//     failures come from there, and when the replay passes (the lane
+//     over-reported) the scalar verdict stands.
 //
 // It returns ctx.Err() when ctx is cancelled during a lane run; a scalar
 // run's error, cancellation included, is that stimulus's Outcome.Err.
-func CheckStimuli(ctx context.Context, d *compile.Design, mode sim.Mode, stims []sim.VecStimulus, visit func(Outcome) bool) error {
-	if len(stims) > 1 && sim.LanesOK(d, mode) {
-		lres, err := checkLanes(ctx, d, mode, stims)
+func (c *Checker) CheckStimuli(ctx context.Context, stims []sim.VecStimulus, visit func(Outcome) bool) error {
+	if len(stims) > 1 && sim.LanesOK(c.d, c.mode) {
+		lres, err := checkLanes(ctx, c.d, c.mode, stims)
 		if err == nil {
 			for l, st := range stims {
 				o := Outcome{lane: l, attempted: lres.Attempted}
 				if lres.Failed>>uint(l)&1 == 1 {
-					o = checkScalar(ctx, d, mode, st)
+					o = c.scalar(ctx, st)
 				}
 				o.Laned = true
 				if !visit(o) {
@@ -76,7 +101,7 @@ func CheckStimuli(ctx context.Context, d *compile.Design, mode sim.Mode, stims [
 		}
 	}
 	for _, st := range stims {
-		if !visit(checkScalar(ctx, d, mode, st)) {
+		if !visit(c.scalar(ctx, st)) {
 			break
 		}
 	}
@@ -95,14 +120,23 @@ func checkLanes(ctx context.Context, d *compile.Design, mode sim.Mode, stims []s
 	return sva.CheckLanes(lt)
 }
 
-func checkScalar(ctx context.Context, d *compile.Design, mode sim.Mode, st sim.VecStimulus) Outcome {
-	tr, err := sim.RunVecCtx(ctx, d, st, mode)
+// scalar runs one stimulus on the reused engine. A failing outcome gets
+// copies of the trace and the result; a passing one borrows both.
+func (c *Checker) scalar(ctx context.Context, st sim.VecStimulus) Outcome {
+	if c.run == nil {
+		c.run = sim.NewRunner(c.d, c.mode)
+	}
+	tr, err := c.run.Run(ctx, st)
 	if err != nil {
 		return Outcome{Err: err}
 	}
-	res, err := sva.Check(tr)
+	res, err := c.sva.Check(tr)
 	if err != nil {
 		return Outcome{Err: err}
 	}
-	return Outcome{Failed: res.Failed(), Trace: tr, Check: res}
+	if !res.Failed() {
+		return Outcome{Trace: tr, Check: res}
+	}
+	kept := &sva.Result{Failures: slices.Clone(res.Failures), Attempts: maps.Clone(res.Attempts)}
+	return Outcome{Failed: true, Trace: tr.Clone(), Check: kept}
 }

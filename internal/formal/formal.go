@@ -9,6 +9,14 @@
 //     assertions within the bound, and with what counterexample/log; and
 //  2. does a mutated design behave differently from the golden design at
 //     its outputs (used to separate real functional bugs from no-ops).
+//
+// A Check allocates per check, not per run: one Checker holds a
+// sim.Runner and an sva.Checker bound to the runner's trace, the stimulus
+// generators write into reused per-batch-slot row slabs, and every run
+// overwrites all of them in place. Only a failing run copies its trace and
+// assertion result, so a Result's counterexample Trace is the caller's. In
+// CheckStimuli a passing Outcome's Trace and Check are borrowed and valid
+// only during the visit call; a failing Outcome owns both.
 package formal
 
 import (
@@ -136,6 +144,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	if opts.FourState {
 		mode = sim.FourState
 	}
+	checker := NewChecker(d, mode)
 	var runErr error
 	visit := func(o Outcome) bool {
 		if o.Err != nil {
@@ -150,7 +159,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 				}
 			}
 		}
-		if o.Failed {
+		if o.Failed { // a failing outcome owns its trace and result
 			res.Pass = false
 			res.Failure = o.Check.FirstFailure()
 			res.Trace = o.Trace
@@ -167,11 +176,14 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	size := max(opts.Lanes, 1)
 	var one [1]sim.VecStimulus // scalar batches stay off the heap
 	batch := one[:0]
+	// slot returns the stimulus rows for the next batch position. They are
+	// reused once flush has checked the batch holding them.
+	slot := func() [][]uint64 { return ds.rows(len(batch), opts.Depth) }
 	flush := func() (bool, error) {
 		if len(batch) == 0 {
 			return false, nil
 		}
-		err := CheckStimuli(ctx, d, mode, batch, visit)
+		err := checker.CheckStimuli(ctx, batch, visit)
 		batch = batch[:0]
 		if err == nil {
 			err = runErr
@@ -224,7 +236,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 		res.Strategy = "exhaustive-sequences"
 		seqSpace := uint64(1) << uint(totalBits*freeCycles)
 		for code := uint64(0); code < seqSpace; code++ {
-			stim := ds.decodeSequence(code, opts.Depth, freeCycles)
+			stim := ds.decodeSequence(slot(), code, freeCycles)
 			if stop, err := submit(stim); err != nil {
 				return nil, err
 			} else if stop {
@@ -239,8 +251,8 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 
 	// Strategy 2: directed patterns, constant enumeration, then random.
 	res.Strategy = "directed+random"
-	for _, stim := range ds.directedStimuli(opts.Depth) {
-		if stop, err := submit(stim); err != nil {
+	for _, pat := range ds.directed(opts.Depth) {
+		if stop, err := submit(ds.fill(slot(), pat)); err != nil {
 			return nil, err
 		} else if stop {
 			return finish(), nil
@@ -257,7 +269,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 		res.Strategy = "directed+const+random"
 		space := uint64(1) << uint(totalBits)
 		for code := uint64(0); code < space; code++ {
-			stim := ds.constantStimulus(code, opts.Depth)
+			stim := ds.constantStimulus(slot(), code)
 			if stop, err := submit(stim); err != nil {
 				return nil, err
 			} else if stop {
@@ -267,7 +279,7 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for i := 0; i < opts.RandomRuns; i++ {
-		stim := ds.randomStimulus(rng, opts.Depth)
+		stim := ds.randomStimulus(slot(), rng)
 		if stop, err := submit(stim); err != nil {
 			return nil, err
 		} else if stop {
@@ -283,8 +295,9 @@ func Check(ctx context.Context, d *compile.Design, opts Options) (*Result, error
 // driveSet is the precomputed drive list for one design: the non-clock/reset
 // inputs plus the reset input (when present) as the last column. Stimulus
 // generators fill dense per-cycle vectors parallel to this list, and
-// sim.RunVec writes them straight into state slots — no per-cycle maps, no
-// name hashing.
+// sim.Runner writes them straight into state slots — no per-cycle maps, no
+// name hashing. The vectors live in reused per-batch-slot row slabs, so
+// generating a stimulus allocates nothing.
 //
 // On a multi-clock design the domain clocks are removed from the enumerated
 // inputs and driven on fixed interleaved schedules instead (clock j toggles
@@ -298,6 +311,9 @@ type driveSet struct {
 	all    []*compile.Signal // inputs plus reset and domain clocks (when present)
 	ri     int               // reset column index in all; -1 when absent
 	clocks []int             // domain-clock column indices in all (multi-clock only)
+
+	// slabs[k] holds batch slot k's stimulus rows (see rows).
+	slabs [][][]uint64
 }
 
 func newDriveSet(d *compile.Design) driveSet {
@@ -346,11 +362,30 @@ func newDriveSet(d *compile.Design) driveSet {
 	return ds
 }
 
-// newRow returns one stimulus row with the reset column filled (active for
+// rows returns batch slot k's depth stimulus rows, one column per drive
+// input. A generator overwrites them, so a stimulus generated into slot k
+// is valid until the next one generated into the same slot.
+func (ds *driveSet) rows(k, depth int) [][]uint64 {
+	for len(ds.slabs) <= k {
+		ds.slabs = append(ds.slabs, nil)
+	}
+	if len(ds.slabs[k]) != depth {
+		n := len(ds.all)
+		flat := make([]uint64, depth*n)
+		rows := make([][]uint64, depth)
+		for c := range rows {
+			rows[c] = flat[c*n : (c+1)*n : (c+1)*n]
+		}
+		ds.slabs[k] = rows
+	}
+	return ds.slabs[k]
+}
+
+// initRow clears one stimulus row and fills the reset column (active for
 // the first two cycles, inactive afterwards) and, on multi-clock designs,
 // the domain-clock columns on their interleaved schedules.
-func (ds *driveSet) newRow(cycle int) []uint64 {
-	row := make([]uint64, len(ds.all))
+func (ds *driveSet) initRow(row []uint64, cycle int) {
+	clear(row)
 	if ds.ri >= 0 {
 		active := cycle < 2
 		v := uint64(0)
@@ -363,17 +398,15 @@ func (ds *driveSet) newRow(cycle int) []uint64 {
 	for j, col := range ds.clocks {
 		row[col] = uint64(cycle) >> uint(j) & 1
 	}
-	return row
 }
 
 // decodeSequence expands an integer code into a full per-cycle stimulus for
 // exhaustive sequence enumeration. Cycle c draws its input bits from the
 // c-th bit group of the code, reset cycles included.
-func (ds *driveSet) decodeSequence(code uint64, depth, freeCycles int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
+func (ds *driveSet) decodeSequence(rows [][]uint64, code uint64, freeCycles int) sim.VecStimulus {
 	tw := totalWidth(ds.inputs)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+	for c, row := range rows {
+		ds.initRow(row, c)
 		free := c
 		if free >= freeCycles {
 			free = freeCycles - 1
@@ -384,7 +417,6 @@ func (ds *driveSet) decodeSequence(code uint64, depth, freeCycles int) sim.VecSt
 			row[i] = (code >> shift) & in.Mask()
 			offset += in.Width
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
@@ -397,99 +429,95 @@ func totalWidth(inputs []*compile.Signal) int {
 	return w
 }
 
-func (ds *driveSet) constantStimulus(code uint64, depth int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+func (ds *driveSet) constantStimulus(rows [][]uint64, code uint64) sim.VecStimulus {
+	for c, row := range rows {
+		ds.initRow(row, c)
 		offset := 0
 		for i, in := range ds.inputs {
 			row[i] = (code >> uint(offset)) & in.Mask()
 			offset += in.Width
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
 
-// directedStimuli generates the canonical corner-case patterns: all zeros,
-// all ones, per-input walking ones, a ramp, and alternating phases.
-func (ds *driveSet) directedStimuli(depth int) []sim.VecStimulus {
-	var out []sim.VecStimulus
-	inputs := ds.inputs
+// pattern gives an input's value at a cycle of a directed stimulus.
+type pattern func(in *compile.Signal, cycle int) uint64
 
-	constant := func(value func(in *compile.Signal, cycle int) uint64) sim.VecStimulus {
-		rows := make([][]uint64, depth)
-		for c := 0; c < depth; c++ {
-			row := ds.newRow(c)
-			for i, in := range inputs {
-				row[i] = value(in, c) & in.Mask()
-			}
-			rows[c] = row
+// fill generates the directed stimulus of one pattern into rows.
+func (ds *driveSet) fill(rows [][]uint64, value pattern) sim.VecStimulus {
+	for c, row := range rows {
+		ds.initRow(row, c)
+		for i, in := range ds.inputs {
+			row[i] = value(in, c) & in.Mask()
 		}
-		return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 	}
+	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
+}
 
-	out = append(out,
-		constant(func(*compile.Signal, int) uint64 { return 0 }),
-		constant(func(in *compile.Signal, _ int) uint64 { return in.Mask() }),
-		constant(func(_ *compile.Signal, c int) uint64 { return uint64(c) }),
-		constant(func(_ *compile.Signal, c int) uint64 {
+// directed returns the canonical corner-case patterns: all zeros, all
+// ones, per-input walking ones, a ramp, and alternating phases.
+func (ds *driveSet) directed(depth int) []pattern {
+	inputs := ds.inputs
+	out := []pattern{
+		func(*compile.Signal, int) uint64 { return 0 },
+		func(in *compile.Signal, _ int) uint64 { return in.Mask() },
+		func(_ *compile.Signal, c int) uint64 { return uint64(c) },
+		func(_ *compile.Signal, c int) uint64 {
 			if c%2 == 0 {
 				return 0
 			}
 			return ^uint64(0)
-		}),
-		constant(func(in *compile.Signal, _ int) uint64 { return 1 }),
-	)
+		},
+		func(in *compile.Signal, _ int) uint64 { return 1 },
+	}
 	// Walking one: each input raised alone, others zero, for a few phases.
 	for i := range inputs {
-		i := i
-		out = append(out, constant(func(in *compile.Signal, c int) uint64 {
+		out = append(out, func(in *compile.Signal, c int) uint64 {
 			if in.Name == inputs[i].Name {
 				return uint64(1) << uint(c%max(in.Width, 1))
 			}
 			return 0
-		}))
+		})
 	}
 	// One-hot per cycle across inputs (pulse each input in turn).
-	out = append(out, constant(func(in *compile.Signal, c int) uint64 {
+	out = append(out, func(in *compile.Signal, c int) uint64 {
 		for j, cand := range inputs {
 			if cand.Name == in.Name && c%max(len(inputs), 1) == j {
 				return cand.Mask()
 			}
 		}
 		return 0
-	}))
+	})
 	// Idle-then-burst and burst-then-idle: catch timeout/watchdog logic
 	// whose interesting transition needs a long quiet phase first.
 	out = append(out,
-		constant(func(in *compile.Signal, c int) uint64 {
+		func(in *compile.Signal, c int) uint64 {
 			if c < depth/2 {
 				return 0
 			}
 			return in.Mask()
-		}),
-		constant(func(in *compile.Signal, c int) uint64 {
+		},
+		func(in *compile.Signal, c int) uint64 {
 			if c < depth/2 {
 				return in.Mask()
 			}
 			return 0
-		}),
+		},
 		// Long idle with a single late pulse on every input.
-		constant(func(in *compile.Signal, c int) uint64 {
+		func(in *compile.Signal, c int) uint64 {
 			if c == depth-3 {
 				return in.Mask()
 			}
 			return 0
-		}),
+		},
 	)
 	return out
 }
 
-func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
-	rows := make([][]uint64, depth)
-	for c := 0; c < depth; c++ {
-		row := ds.newRow(c)
+func (ds *driveSet) randomStimulus(rows [][]uint64, rng *rand.Rand) sim.VecStimulus {
+	for c, row := range rows {
+		ds.initRow(row, c)
 		for i, in := range ds.inputs {
 			switch rng.Intn(4) {
 			case 0:
@@ -500,7 +528,6 @@ func (ds *driveSet) randomStimulus(rng *rand.Rand, depth int) sim.VecStimulus {
 				row[i] = rng.Uint64() & in.Mask()
 			}
 		}
-		rows[c] = row
 	}
 	return sim.VecStimulus{Inputs: ds.all, Rows: rows}
 }
@@ -514,13 +541,15 @@ func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (
 	opts = opts.withDefaults()
 	ds := newDriveSet(golden)
 	outputs := golden.Outputs()
+	gr, mr := sim.NewRunner(golden, sim.TwoState), sim.NewRunner(mutant, sim.TwoState)
+	rows := ds.rows(0, opts.Depth)
 
 	compareOn := func(stim sim.VecStimulus) (bool, string, error) {
-		trG, err := sim.RunVecCtx(ctx, golden, stim, sim.TwoState)
+		trG, err := gr.Run(ctx, stim)
 		if err != nil {
 			return false, "", err
 		}
-		trM, err := sim.RunVecCtx(ctx, mutant, stim, sim.TwoState)
+		trM, err := mr.Run(ctx, stim)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Cancellation mid-run, not a broken mutant.
@@ -542,26 +571,27 @@ func Differ(ctx context.Context, golden, mutant *compile.Design, opts Options) (
 		return false, "", nil
 	}
 
-	var stims []sim.VecStimulus
-	stims = append(stims, ds.directedStimuli(opts.Depth)...)
+	// Stimuli stream through the two runners one at a time, in the order
+	// directed, constant, random, and the first divergence or error ends
+	// the walk.
+	for _, pat := range ds.directed(opts.Depth) {
+		if diff, log, err := compareOn(ds.fill(rows, pat)); diff || err != nil {
+			return diff, log, err
+		}
+	}
 	totalBits := totalWidth(ds.inputs)
 	if totalBits > 0 && totalBits <= opts.MaxConstBits {
 		space := uint64(1) << uint(totalBits)
 		for code := uint64(0); code < space; code++ {
-			stims = append(stims, ds.constantStimulus(code, opts.Depth))
+			if diff, log, err := compareOn(ds.constantStimulus(rows, code)); diff || err != nil {
+				return diff, log, err
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for i := 0; i < opts.RandomRuns; i++ {
-		stims = append(stims, ds.randomStimulus(rng, opts.Depth))
-	}
-	for _, stim := range stims {
-		diff, log, err := compareOn(stim)
-		if err != nil {
-			return false, "", err
-		}
-		if diff {
-			return true, log, nil
+		if diff, log, err := compareOn(ds.randomStimulus(rows, rng)); diff || err != nil {
+			return diff, log, err
 		}
 	}
 	return false, "", nil

@@ -133,7 +133,7 @@ func TestCheckStimuliPolicy(t *testing.T) {
 		"assign pulse = sig && !sig_d;", "assign pulse = sig;", 1))
 	batch := stims(edge, []uint64{0, 0, 0, 0}, []uint64{0, 1, 1, 0}, []uint64{0, 1, 0, 1})
 	var got []Outcome
-	if err := CheckStimuli(context.Background(), edge, sim.TwoState, batch, func(o Outcome) bool {
+	if err := NewChecker(edge, sim.TwoState).CheckStimuli(context.Background(), batch, func(o Outcome) bool {
 		got = append(got, o)
 		return true
 	}); err != nil {
@@ -155,7 +155,7 @@ func TestCheckStimuliPolicy(t *testing.T) {
 	mc := compileSrc(string(src))
 	mcStim := sim.VecStimulus{Inputs: mc.Inputs(true), Rows: [][]uint64{{0, 1}, {1, 0}, {0, 0}}} // clk2, d
 	visits := 0
-	if err := CheckStimuli(context.Background(), mc, sim.TwoState, []sim.VecStimulus{mcStim, mcStim}, func(o Outcome) bool {
+	if err := NewChecker(mc, sim.TwoState).CheckStimuli(context.Background(), []sim.VecStimulus{mcStim, mcStim}, func(o Outcome) bool {
 		visits++
 		if o.Err != nil || o.Laned || o.Check == nil {
 			t.Fatalf("multi-clock stimulus: %+v, want a scalar outcome", o)

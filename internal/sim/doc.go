@@ -28,6 +28,25 @@
 // differential tests plus the cross-engine fuzzer hold the two backends
 // identical plane-for-plane.
 //
+// # Reused runs and trace ownership
+//
+// A Runner is the run loop for vectorised stimuli: one (design, mode)
+// pair, whose machine, input slots, clock-domain tracker, row slabs and
+// Trace are built once and overwritten in place by every Run. Reset is a
+// copy of the plan's initial rows; the generation counters keep counting
+// (their arrays are cleared before they could wrap). RunVec, RunVecMode
+// and RunVecCtx are one-shot Runners, so there is one loop for both
+// domains.
+//
+// Ownership follows from the reuse. A trace a Runner returns belongs to
+// the Runner and is valid until its next Run; whoever keeps it longer
+// (the formal checker keeps a counterexample) keeps Trace.Clone(). A
+// one-shot run's trace is the caller's. Evaluators compiled against a
+// Runner's trace (CompileExpr, CompileExpr4) read the trace's current rows
+// — history and length included — on every call, so sva.Checker compiles
+// each assertion once and reuses it across runs. Designs the planner
+// cannot lower return a fresh reference-interpreter trace per Run.
+//
 // # Lane-parallel execution
 //
 // PlanLanes/RunLanes add a third backend: a bit-sliced,
@@ -48,7 +67,7 @@
 // the lane lowering cannot express exactly — and any runtime evaluation
 // error, since predication evaluates a superset of each lane's
 // expressions — is reported as an error for the whole batch.
-// formal.CheckStimuli, the one batch checker behind formal.Check and
+// formal.Checker.CheckStimuli, the one batch checker behind formal.Check and
 // cmd/serve, then reruns the batch lane by lane on the scalar engine, and
 // it replays every failing lane there too. LanesOK reports lowering
 // support up front; PackStimuli

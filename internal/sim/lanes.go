@@ -97,7 +97,7 @@ func (p *Plan) lanes() *LanePlan {
 
 // LanesOK reports whether the design can run lane-parallel in the given
 // value domain with every assertion expression batched per lane-word — the
-// precondition formal.CheckStimuli checks before packing a batch.
+// precondition formal.Checker.CheckStimuli checks before packing a batch.
 // Multi-clock designs are excluded: the lane engine itself handles them
 // (per-lane fired masks), but the lane-batched assertion evaluation has no
 // per-domain tick schedule, so batches of them run on the scalar engine.

@@ -137,10 +137,35 @@ func newMach(p *Plan) *mach {
 }
 
 // traceMach returns a machine for evaluating compiled expressions over
-// sampled trace rows: no overlay, vals aliased to the row under evaluation.
-func traceMach(p *Plan, rows [][]uint64) *mach {
-	n := p.nslots
-	return &mach{p: p, ovlGen: make([]uint32, n), gen: 1, rows: rows}
+// sampled trace rows: no overlay, vals (and unks) aliased to the row under
+// evaluation.
+func traceMach(p *Plan) *mach {
+	return &mach{p: p, ovlGen: make([]uint32, p.nslots), gen: 1}
+}
+
+// genLimit bounds the generation counters: reset clears an overlay or
+// commit-set generation array before its counter could wrap onto a stale
+// entry. No single run comes close to 2^31 bumps.
+const genLimit = 1 << 31
+
+// reset returns a machine to the state newMach (or newMach4, given the
+// four-state lowering) builds, reusing its arrays. The generation counters
+// keep counting: every stale overlay and commit-set entry holds an older
+// generation, so it is invisible exactly as a zeroed one is.
+func (m *mach) reset(p4 *plan4) {
+	copy(m.vals, m.p.initRow)
+	if p4 != nil {
+		copy(m.unks, p4.initUnk)
+	}
+	m.err = nil
+	if m.gen >= genLimit {
+		clear(m.ovlGen)
+		m.gen = 1
+	}
+	if m.ngen >= genLimit {
+		clear(m.nbaGen)
+		m.ngen = 1
+	}
 }
 
 func (m *mach) fail(err error) {
@@ -180,6 +205,9 @@ func (m *mach) setInput(name string, v uint64) error {
 		return fmt.Errorf("sim: %q is not an input", name)
 	}
 	m.vals[sig.Slot] = v & m.p.masks[sig.Slot]
+	if m.unks != nil {
+		m.unks[sig.Slot] = 0 // a driven input is known
+	}
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/compile"
 	"repro/internal/verilog"
 )
 
@@ -127,13 +126,6 @@ func newMach4(p *Plan, p4 *plan4) *mach {
 	return m
 }
 
-// traceMach4 returns a machine for evaluating compiled expressions over a
-// four-state trace's sampled rows.
-func traceMach4(p *Plan, rows, rows4 [][]uint64) *mach {
-	n := p.nslots
-	return &mach{p: p, ovlGen: make([]uint32, n), gen: 1, rows: rows, rows4: rows4}
-}
-
 func (m *mach) read4(slot int32) V4 {
 	if m.ovlGen[slot] == m.gen {
 		return V4{Val: m.ovlVal[slot], Unk: m.ovlUnk[slot]}
@@ -219,16 +211,6 @@ func (m *mach) edge4Fired(p4 *plan4, fired uint64) error {
 		m.unks[slot] = m.nbaUnk[slot]
 	}
 	return m.settle4(p4)
-}
-
-func (m *mach) setInput4(name string, v uint64) error {
-	sig := m.p.design.Signals[name]
-	if sig == nil || sig.Kind != compile.SigInput {
-		return fmt.Errorf("sim: %q is not an input", name)
-	}
-	m.vals[sig.Slot] = v & m.p.masks[sig.Slot]
-	m.unks[sig.Slot] = 0
-	return nil
 }
 
 // evalAt4 evaluates a compiled expression against an earlier sampled row,

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/compile"
@@ -24,8 +25,7 @@ type Trace struct {
 	// rows; nil for two-state traces (everything known).
 	unks [][]uint64
 	plan *Plan // nil when produced by the reference interpreter
-	em   *mach // lazy shared machine for compiled evaluation
-	em4  *mach // lazy shared machine for compiled four-state evaluation
+	em   *mach // lazy shared machine for compiled evaluation (evalMach)
 
 	// fired[c] is the per-domain fired mask of the edge that followed row c
 	// (bit k set = Design.Domains[k] ticked); nil for single-domain traces,
@@ -79,17 +79,16 @@ func (t *Trace) Fired(cycle int) uint64 {
 	return t.fired[cycle]
 }
 
-// DomainCycles returns the cycles sampled at domain's clock ticks — the
-// sub-sequence a domain-clocked assertion advances over. For single-domain
-// traces that is every cycle.
-func (t *Trace) DomainCycles(domain int) []int {
-	out := make([]int, 0, len(t.rows))
+// DomainCycles appends to dst the cycles sampled at domain's clock ticks —
+// the sub-sequence a domain-clocked assertion advances over — and returns
+// the extended slice. For single-domain traces that is every cycle.
+func (t *Trace) DomainCycles(dst []int, domain int) []int {
 	for c := range t.rows {
 		if t.Fired(c)>>uint(domain)&1 != 0 {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // CompiledExpr evaluates an expression at a sampled cycle of one trace.
@@ -104,12 +103,9 @@ type CompiledExpr func(cycle int) (uint64, error)
 func (t *Trace) CompileExpr(e verilog.Expr) CompiledExpr {
 	if t.plan != nil {
 		if fn, ok := t.plan.svaExpr[e]; ok {
-			if t.em == nil {
-				t.em = traceMach(t.plan, t.rows)
-			}
-			m := t.em
+			m := t.evalMach()
 			return func(cycle int) (uint64, error) {
-				m.vals, m.idx, m.err = t.rows[cycle], cycle, nil
+				m.rows, m.vals, m.idx, m.err = t.rows, t.rows[cycle], cycle, nil
 				v := fn(m)
 				return v, m.err
 			}
@@ -131,16 +127,16 @@ type CompiledExpr4 func(cycle int) (V4, error)
 // extra indirection. On a four-state trace, assertion-reachable
 // expressions resolve to the plan's compiled four-state closures with the
 // interpretive Eval4 as the fallback.
+//
+// Like CompileExpr's, the evaluator reads the trace's rows as they are
+// when it is called, so it stays valid while a Runner rewrites the trace.
 func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	if t.unks == nil {
 		if t.plan != nil {
 			if fn, ok := t.plan.svaExpr[e]; ok {
-				if t.em == nil {
-					t.em = traceMach(t.plan, t.rows)
-				}
-				m := t.em
+				m := t.evalMach()
 				return func(cycle int) (V4, error) {
-					m.vals, m.idx, m.err = t.rows[cycle], cycle, nil
+					m.rows, m.vals, m.idx, m.err = t.rows, t.rows[cycle], cycle, nil
 					v := fn(m)
 					return V4{Val: v}, m.err
 				}
@@ -154,12 +150,10 @@ func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	if t.plan != nil {
 		if p4 := t.plan.fourState(); p4 != nil {
 			if fn, ok := p4.svaExpr4[e]; ok {
-				if t.em4 == nil {
-					t.em4 = traceMach4(t.plan, t.rows, t.unks)
-				}
-				m := t.em4
+				m := t.evalMach()
 				return func(cycle int) (V4, error) {
-					m.vals, m.unks, m.idx, m.err = t.rows[cycle], t.unks[cycle], cycle, nil
+					m.rows, m.rows4, m.idx, m.err = t.rows, t.unks, cycle, nil
+					m.vals, m.unks = t.rows[cycle], t.unks[cycle]
 					v := fn(m)
 					return v, m.err
 				}
@@ -169,6 +163,17 @@ func (t *Trace) CompileExpr4(e verilog.Expr) CompiledExpr4 {
 	return func(cycle int) (V4, error) {
 		return Eval4(e, traceRowEnv{t: t, idx: cycle})
 	}
+}
+
+// evalMach returns the trace's lazily built machine for compiled
+// evaluation. Each evaluator re-points it at the row under evaluation and
+// at the trace's current rows (the history sampled-value functions read),
+// so evaluators share it and never hold a stale copy of the row list.
+func (t *Trace) evalMach() *mach {
+	if t.em == nil {
+		t.em = traceMach(t.plan)
+	}
+	return t.em
 }
 
 // traceRowEnv adapts a trace row to the evaluator environment, with history
@@ -299,90 +304,18 @@ func stopped(done <-chan struct{}) bool {
 // cycles and returns ctx.Err() once it is cancelled, so a caller-side
 // deadline or disconnect stops a long simulation within one cycle.
 func RunModeCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode) (*Trace, error) {
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
+	r := NewRunner(d, mode)
+	if r.p == nil {
 		return RunReferenceCtx(ctx, d, stim, mode)
 	}
-	if mode == FourState {
-		p4 := p.fourState()
-		if p4 == nil {
-			return RunReferenceCtx(ctx, d, stim, mode)
-		}
-		m := newMach4(p, p4)
-		if err := m.settle4(p4); err != nil {
-			return nil, err
-		}
-		dc := domainClocksOf(d)
-		tr := &Trace{Design: d, plan: p,
-			rows: make([][]uint64, 0, len(stim)),
-			unks: make([][]uint64, 0, len(stim))}
-		for i, cyc := range stim {
-			if stopped(done) {
-				return nil, ctx.Err()
-			}
-			if dc != nil {
-				dc.capture(m.vals, m.unks)
-			}
-			for name, v := range cyc {
-				if err := m.setInput4(name, v); err != nil {
-					return nil, fmt.Errorf("cycle %d: %w", i, err)
-				}
-			}
-			if err := m.settle4(p4); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-			row := make([]uint64, p.nslots)
-			copy(row, m.vals)
-			unk := make([]uint64, p.nslots)
-			copy(unk, m.unks)
-			tr.rows = append(tr.rows, row)
-			tr.unks = append(tr.unks, unk)
-			f := firedAll
-			if dc != nil {
-				f = dc.fired(m.vals, m.unks)
-				tr.fired = append(tr.fired, f)
-			}
-			if err := m.edge4Fired(p4, f); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
+	return r.run(ctx, len(stim), func(c int) error {
+		for name, v := range stim[c] {
+			if err := r.m.setInput(name, v); err != nil {
+				return err
 			}
 		}
-		return tr, nil
-	}
-	m := newMach(p)
-	if err := m.settle(); err != nil {
-		return nil, err
-	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, len(stim))}
-	for i, cyc := range stim {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if dc != nil {
-			dc.capture(m.vals, nil)
-		}
-		for name, v := range cyc {
-			if err := m.setInput(name, v); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", i, err)
-			}
-		}
-		if err := m.settle(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		tr.rows = append(tr.rows, row)
-		f := firedAll
-		if dc != nil {
-			f = dc.fired(m.vals, nil)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := m.edgeFired(f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", i, err)
-		}
-	}
-	return tr, nil
+		return nil
+	})
 }
 
 // RunVec simulates the design over a vectorised stimulus, driving input
@@ -390,55 +323,7 @@ func RunModeCtx(ctx context.Context, d *compile.Design, stim Stimulus, mode Mode
 // two-state — it is the bounded model checker's hot path; RunVecMode
 // selects the value domain.
 func RunVec(d *compile.Design, stim VecStimulus) (*Trace, error) {
-	return runVec(context.Background(), d, stim)
-}
-
-func runVec(ctx context.Context, d *compile.Design, stim VecStimulus) (*Trace, error) {
-	done := ctx.Done()
-	p := PlanOf(d)
-	if p == nil {
-		return RunReferenceCtx(ctx, d, stim.maps(), TwoState)
-	}
-	slots := make([]int32, len(stim.Inputs))
-	for i, in := range stim.Inputs {
-		sig := d.Signals[in.Name]
-		if sig == nil || sig.Kind != compile.SigInput {
-			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
-		}
-		slots[i] = int32(sig.Slot)
-	}
-	m := newMach(p)
-	if err := m.settle(); err != nil {
-		return nil, err
-	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p, rows: make([][]uint64, 0, len(stim.Rows))}
-	for c, in := range stim.Rows {
-		if stopped(done) {
-			return nil, ctx.Err()
-		}
-		if dc != nil {
-			dc.capture(m.vals, nil)
-		}
-		for i, slot := range slots {
-			m.vals[slot] = in[i] & p.masks[slot]
-		}
-		if err := m.settle(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		tr.rows = append(tr.rows, row)
-		f := firedAll
-		if dc != nil {
-			f = dc.fired(m.vals, nil)
-			tr.fired = append(tr.fired, f)
-		}
-		if err := m.edgeFired(f); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", c, err)
-		}
-	}
-	return tr, nil
+	return RunVecCtx(context.Background(), d, stim, TwoState)
 }
 
 // maps materialises the equivalent map stimulus for reference fallbacks.
@@ -465,66 +350,214 @@ func RunVecMode(d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) 
 // RunVecCtx is RunVecMode under a context: the run loop polls ctx between
 // cycles and returns ctx.Err() once it is cancelled. This is the seam the
 // formal checker threads its context through, so a cancelled bounded check
-// stops mid-run rather than finishing the stimulus.
+// stops mid-run rather than finishing the stimulus. It is a one-shot
+// Runner: the returned trace is the caller's to keep.
 func RunVecCtx(ctx context.Context, d *compile.Design, stim VecStimulus, mode Mode) (*Trace, error) {
-	if mode != FourState {
-		return runVec(ctx, d, stim)
-	}
-	done := ctx.Done()
-	p := PlanOf(d)
-	var p4 *plan4
-	if p != nil {
-		p4 = p.fourState()
-	}
-	if p == nil || p4 == nil {
-		return RunReferenceCtx(ctx, d, stim.maps(), FourState)
-	}
-	slots := make([]int32, len(stim.Inputs))
-	for i, in := range stim.Inputs {
-		sig := d.Signals[in.Name]
-		if sig == nil || sig.Kind != compile.SigInput {
-			return nil, fmt.Errorf("sim: %q is not an input", in.Name)
+	return NewRunner(d, mode).Run(ctx, stim)
+}
+
+// Runner simulates one design in one value domain over any number of
+// vectorised stimuli. It builds the machine, the input-slot list, the
+// clock-domain tracker and the trace row storage once and overwrites them
+// in place on every Run, so once its rows have grown to the deepest
+// stimulus a compiled run allocates nothing.
+//
+// Run returns the Runner's own Trace, rewritten by the next Run: it is
+// valid until then, and a caller that keeps it past the next Run keeps
+// Trace.Clone() instead. Expressions compiled against that trace
+// (CompileExpr, CompileExpr4) stay valid across runs and always read the
+// current rows. Designs the planner cannot lower run on the reference
+// interpreter, which returns a fresh trace per run. A Runner is not safe
+// for concurrent use.
+type Runner struct {
+	d    *compile.Design
+	mode Mode
+	p    *Plan  // nil: every run falls back to the reference interpreter
+	p4   *plan4 // four-state lowering; nil in two-state runs
+	m    *mach
+	dc   *domainClocks
+	tr   *Trace
+
+	inputs []*compile.Signal // the stimulus inputs that slots resolves
+	slots  []int32
+
+	// rows and unks are row headers over one depth×nslots slab each (unks
+	// four-state only); fired is the per-row fired mask on multi-clock
+	// designs. They grow to the deepest stimulus run and are then reused.
+	rows  [][]uint64
+	unks  [][]uint64
+	fired []uint64
+}
+
+// NewRunner returns a Runner for d in the given value domain.
+func NewRunner(d *compile.Design, mode Mode) *Runner {
+	r := &Runner{d: d, mode: mode, p: PlanOf(d)}
+	if r.p != nil && mode == FourState {
+		if r.p4 = r.p.fourState(); r.p4 == nil {
+			r.p = nil
 		}
-		slots[i] = int32(sig.Slot)
 	}
-	m := newMach4(p, p4)
-	if err := m.settle4(p4); err != nil {
+	if r.p == nil {
+		return r
+	}
+	if r.p4 != nil {
+		r.m = newMach4(r.p, r.p4)
+	} else {
+		r.m = newMach(r.p)
+	}
+	r.dc = domainClocksOf(d)
+	r.tr = &Trace{Design: d, plan: r.p}
+	if r.p4 != nil {
+		r.unks = [][]uint64{} // a four-state trace's unks are never nil
+	}
+	return r
+}
+
+// Run simulates the stimulus from the design's initial state and returns
+// the sampled trace (see Runner for how long it stays valid).
+func (r *Runner) Run(ctx context.Context, stim VecStimulus) (*Trace, error) {
+	if r.p == nil {
+		return RunReferenceCtx(ctx, r.d, stim.maps(), r.mode)
+	}
+	if err := r.bind(stim.Inputs); err != nil {
 		return nil, err
 	}
-	dc := domainClocksOf(d)
-	tr := &Trace{Design: d, plan: p,
-		rows: make([][]uint64, 0, len(stim.Rows)),
-		unks: make([][]uint64, 0, len(stim.Rows))}
-	for c, in := range stim.Rows {
+	m, masks := r.m, r.p.masks
+	return r.run(ctx, len(stim.Rows), func(c int) error {
+		in := stim.Rows[c]
+		for i, slot := range r.slots {
+			m.vals[slot] = in[i] & masks[slot]
+			if m.unks != nil {
+				m.unks[slot] = 0
+			}
+		}
+		return nil
+	})
+}
+
+// run is the one compiled run loop: reset, then per cycle capture the
+// clocks, apply cycle c's inputs through drive, settle, sample the row and
+// run the edge of the domains that fired.
+func (r *Runner) run(ctx context.Context, depth int, drive func(c int) error) (*Trace, error) {
+	done := ctx.Done()
+	m, dc, tr := r.m, r.dc, r.tr
+	m.reset(r.p4)
+	if err := r.settle(); err != nil {
+		return nil, err
+	}
+	r.grow(depth)
+	tr.rows = r.rows[:depth]
+	if r.p4 != nil {
+		tr.unks = r.unks[:depth]
+	}
+	if dc != nil {
+		tr.fired = r.fired[:depth]
+	}
+	for c := 0; c < depth; c++ {
 		if stopped(done) {
 			return nil, ctx.Err()
 		}
 		if dc != nil {
 			dc.capture(m.vals, m.unks)
 		}
-		for i, slot := range slots {
-			m.vals[slot] = in[i] & p.masks[slot]
-			m.unks[slot] = 0
-		}
-		if err := m.settle4(p4); err != nil {
+		if err := drive(c); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", c, err)
 		}
-		row := make([]uint64, p.nslots)
-		copy(row, m.vals)
-		unk := make([]uint64, p.nslots)
-		copy(unk, m.unks)
-		tr.rows = append(tr.rows, row)
-		tr.unks = append(tr.unks, unk)
+		if err := r.settle(); err != nil {
+			return nil, fmt.Errorf("cycle %d: %w", c, err)
+		}
+		copy(tr.rows[c], m.vals)
+		if m.unks != nil {
+			copy(tr.unks[c], m.unks)
+		}
 		f := firedAll
 		if dc != nil {
 			f = dc.fired(m.vals, m.unks)
-			tr.fired = append(tr.fired, f)
+			tr.fired[c] = f
 		}
-		if err := m.edge4Fired(p4, f); err != nil {
+		var err error
+		if r.p4 != nil {
+			err = m.edge4Fired(r.p4, f)
+		} else {
+			err = m.edgeFired(f)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", c, err)
 		}
 	}
 	return tr, nil
+}
+
+func (r *Runner) settle() error {
+	if r.p4 != nil {
+		return r.m.settle4(r.p4)
+	}
+	return r.m.settle()
+}
+
+// bind resolves the stimulus inputs to state slots, reusing the previous
+// resolution when the input list is unchanged.
+func (r *Runner) bind(inputs []*compile.Signal) error {
+	if r.slots != nil && slices.Equal(inputs, r.inputs) {
+		return nil
+	}
+	slots := make([]int32, len(inputs))
+	for i, in := range inputs {
+		sig := r.d.Signals[in.Name]
+		if sig == nil || sig.Kind != compile.SigInput {
+			return fmt.Errorf("sim: %q is not an input", in.Name)
+		}
+		slots[i] = int32(sig.Slot)
+	}
+	r.inputs, r.slots = inputs, slots
+	return nil
+}
+
+// grow makes room for depth rows in every plane the trace records.
+func (r *Runner) grow(depth int) {
+	if depth <= len(r.rows) {
+		return
+	}
+	r.rows = newRows(depth, r.p.nslots)
+	if r.p4 != nil {
+		r.unks = newRows(depth, r.p.nslots)
+	}
+	if r.dc != nil {
+		r.fired = make([]uint64, depth)
+	}
+}
+
+// newRows cuts one depth×width slab into rows whose capacity ends where
+// the next row starts, so no row can be appended into its neighbour.
+func newRows(depth, width int) [][]uint64 {
+	flat := make([]uint64, depth*width)
+	rows := make([][]uint64, depth)
+	for c := range rows {
+		rows[c] = flat[c*width : (c+1)*width : (c+1)*width]
+	}
+	return rows
+}
+
+// Clone returns a deep copy of the trace: a trace a Runner will overwrite
+// becomes one the caller owns.
+func (t *Trace) Clone() *Trace {
+	c := &Trace{Design: t.Design, plan: t.plan, rows: cloneRows(t.rows), fired: slices.Clone(t.fired)}
+	if t.unks != nil {
+		c.unks = cloneRows(t.unks)
+	}
+	return c
+}
+
+func cloneRows(rows [][]uint64) [][]uint64 {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0]) // every row of a trace is one slot vector
+	}
+	out := newRows(len(rows), width)
+	for c, row := range rows {
+		copy(out[c], row)
+	}
+	return out
 }
 
 // RunReference simulates the design on the two-state reference interpreter.

@@ -8,7 +8,7 @@ import (
 )
 
 // LaneResult summarises checking all assertions against one lane batch.
-// It deliberately carries only what formal.CheckStimuli, the one batch
+// It deliberately carries only what formal.Checker.CheckStimuli, the one batch
 // checker, needs to stay byte-equivalent with scalar runs: which lanes
 // failed (those are replayed on the scalar engine for the full
 // Failure/log detail) and, per assertion, which lanes logged at least one
@@ -26,7 +26,7 @@ type LaneResult struct {
 // lanes at once, running the same bounded attempt automaton as Check but on
 // packed truth words: one word op decides a term for 64 lanes. It returns
 // an error when any property expression was not lane-compiled (or fails to
-// evaluate); formal.CheckStimuli then reruns the batch on the scalar
+// evaluate); formal.Checker.CheckStimuli then reruns the batch on the scalar
 // engine, which reproduces scalar semantics exactly.
 func CheckLanes(lt *sim.LaneTrace) (*LaneResult, error) {
 	// Multi-clock designs are out of the packed model's reach: assertions

@@ -9,6 +9,11 @@
 // role SymbiYosys plays in the paper: deciding whether a bug/SVA pair
 // triggers an assertion failure and producing the failure logs that become
 // part of every SVA-Bug and SVA-Eval sample.
+//
+// Check is one-shot: its Result belongs to the caller. A Checker reuses its
+// compiled assertions and its Result across calls: each Check overwrites
+// the Result the previous one returned, so a caller keeping a result past
+// the next Check copies it — the formal checker copies only failing ones.
 package sva
 
 import (
@@ -73,7 +78,8 @@ func (r *Result) FirstFailure() *Failure {
 
 // Check evaluates every assertion of the trace's design over the trace.
 // Property attempts that run past the end of the trace are treated as
-// pending (bounded-check semantics), not failures.
+// pending (bounded-check semantics), not failures. It is a one-shot
+// Checker: the Result is the caller's to keep.
 //
 // Each assertion's boolean terms are resolved once through the trace's
 // compiled execution plan (slot-addressed closures; see internal/sim's
@@ -86,13 +92,52 @@ func (r *Result) FirstFailure() *Failure {
 // sampled-value functions ($past and friends) still look back in stimulus
 // rows — their history plane is the raw trace.
 func Check(tr *sim.Trace) (*Result, error) {
-	res := &Result{Attempts: map[string]int{}}
-	for _, a := range tr.Design.Asserts {
-		if err := checkAssert(tr, a, res); err != nil {
+	return new(Checker).Check(tr)
+}
+
+// Checker checks a design's assertions over traces, reusing its work
+// across calls. It compiles the assertions once against the trace it is
+// handed and keeps that binding while it is handed the same *sim.Trace —
+// the trace a sim.Runner rewrites in place on every run, which the
+// compiled evaluators read afresh on each evaluation. Handed a different
+// trace, it recompiles.
+//
+// Check returns the Checker's own Result, overwritten by the next Check: a
+// caller that keeps it past then copies it. A Checker is not safe for
+// concurrent use; its zero value is ready to use.
+type Checker struct {
+	tr      *sim.Trace
+	asserts []compiledAssert
+	res     Result
+}
+
+// Check evaluates every assertion of the trace's design over the trace,
+// with the semantics of the package-level Check.
+func (c *Checker) Check(tr *sim.Trace) (*Result, error) {
+	if tr != c.tr {
+		c.bind(tr)
+	}
+	res := &c.res
+	res.Failures = res.Failures[:0]
+	if res.Attempts == nil {
+		res.Attempts = map[string]int{}
+	} else {
+		clear(res.Attempts)
+	}
+	for i := range c.asserts {
+		if err := c.asserts[i].check(tr, res); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
+}
+
+func (c *Checker) bind(tr *sim.Trace) {
+	c.tr = tr
+	c.asserts = c.asserts[:0]
+	for _, a := range tr.Design.Asserts {
+		c.asserts = append(c.asserts, compileAssert(tr, a))
+	}
 }
 
 // compiledAssert is one assertion with its property expressions resolved to
@@ -103,10 +148,17 @@ func Check(tr *sim.Trace) (*Result, error) {
 // term fails the attempt — the sampled expression is not true — with the
 // failure marked Unknown. An x disable-iff condition does not disable.
 type compiledAssert struct {
+	a       compile.ResolvedAssert
 	disable sim.CompiledExpr4 // nil when the property has no disable iff
 	ante    []compiledTerm
 	cons    []compiledTerm
 	impl    verilog.ImplKind
+
+	// domain is the clock domain the assertion advances over, -1 when it
+	// samples every row; ticks is the reused buffer of that domain's tick
+	// cycles, recomputed per check.
+	domain int
+	ticks  []int
 }
 
 type compiledTerm struct {
@@ -116,7 +168,7 @@ type compiledTerm struct {
 }
 
 func compileAssert(tr *sim.Trace, a compile.ResolvedAssert) compiledAssert {
-	ca := compiledAssert{impl: a.Seq.Impl}
+	ca := compiledAssert{a: a, impl: a.Seq.Impl, domain: assertDomain(tr.Design, a)}
 	if a.DisableIff != nil {
 		ca.disable = tr.CompileExpr4(a.DisableIff)
 	}
@@ -129,13 +181,15 @@ func compileAssert(tr *sim.Trace, a compile.ResolvedAssert) compiledAssert {
 	return ca
 }
 
-func checkAssert(tr *sim.Trace, a compile.ResolvedAssert, res *Result) error {
-	ca := compileAssert(tr, a)
-	ticks := assertTicks(tr, a)
+// check runs every attempt of the assertion over tr, appending failures to
+// res and counting attempts locally so res.Attempts is written once.
+func (ca *compiledAssert) check(tr *sim.Trace, res *Result) error {
+	ticks := ca.tickCycles(tr)
 	n := tr.Len()
 	if ticks != nil {
 		n = len(ticks)
 	}
+	attempts := 0
 	for start := 0; start < n; start++ {
 		outcome, err := evalAttempt(tr, ca, ticks, start)
 		if err != nil {
@@ -143,36 +197,52 @@ func checkAssert(tr *sim.Trace, a compile.ResolvedAssert, res *Result) error {
 		}
 		switch outcome.kind {
 		case attemptFail:
-			res.Attempts[a.Name]++
+			attempts++
 			res.Failures = append(res.Failures, Failure{
-				Assert:     a,
+				Assert:     ca.a,
 				StartCycle: tickCycle(ticks, start),
 				FailCycle:  outcome.failCycle,
 				Term:       outcome.failTerm,
 				Unknown:    outcome.failUnknown,
 			})
 		case attemptPass:
-			res.Attempts[a.Name]++
+			attempts++
 		}
+	}
+	if attempts > 0 {
+		res.Attempts[ca.a.Name] += attempts
 	}
 	return nil
 }
 
-// assertTicks returns the trace cycles the assertion samples at: nil on
-// single-domain traces (every row is a tick of the only clock), the
-// assertion's clock-domain tick cycles on multi-clock traces. An assertion
-// without a resolvable clock event samples every row.
-func assertTicks(tr *sim.Trace, a compile.ResolvedAssert) []int {
-	d := tr.Design
+// assertDomain returns the index of the clock domain a multi-clock
+// design's assertion samples at, or -1 when it samples every row: on
+// single-domain designs (every row is a tick of the only clock) and for an
+// assertion without a resolvable clock event.
+func assertDomain(d *compile.Design, a compile.ResolvedAssert) int {
 	if !d.MultiClock() || a.Clock.Signal == "" || a.Clock.Edge == verilog.EdgeAny {
-		return nil
+		return -1
 	}
 	for k, cd := range d.Domains {
 		if cd.Signal == a.Clock.Signal && cd.Edge == a.Clock.Edge {
-			return tr.DomainCycles(k)
+			return k
 		}
 	}
-	return nil
+	return -1
+}
+
+// tickCycles returns the trace cycles the assertion samples at: nil when
+// it samples every row, otherwise its domain's tick cycles, collected into
+// the reused buffer (non-nil even when the domain never ticked).
+func (ca *compiledAssert) tickCycles(tr *sim.Trace) []int {
+	if ca.domain < 0 {
+		return nil
+	}
+	if ca.ticks == nil {
+		ca.ticks = make([]int, 0, tr.Len())
+	}
+	ca.ticks = tr.DomainCycles(ca.ticks[:0], ca.domain)
+	return ca.ticks
 }
 
 // tickCycle maps an attempt position to its trace cycle.
@@ -203,7 +273,7 @@ type attemptOutcome struct {
 // start. Positions count ticks of the assertion's clock: with ticks nil
 // (single-domain traces) a position is a trace cycle; otherwise ticks maps
 // positions to the trace cycles sampled at that clock's edges.
-func evalAttempt(tr *sim.Trace, ca compiledAssert, ticks []int, start int) (attemptOutcome, error) {
+func evalAttempt(tr *sim.Trace, ca *compiledAssert, ticks []int, start int) (attemptOutcome, error) {
 	limit := tr.Len()
 	if ticks != nil {
 		limit = len(ticks)

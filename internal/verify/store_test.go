@@ -387,3 +387,48 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestSemanticsVersionInKey: the semantics version is part of every cache
+// key, so a verdict stored under one version — here in a DiskStore that
+// is closed and reopened — is a miss under the next, while the current
+// key still hits.
+func TestSemanticsVersionInKey(t *testing.T) {
+	src := "module m(input clk); endmodule\n"
+	opts := Options{Depth: 8}
+	oldKey := versionedKey(SemanticsVersion, src, nil, opts)
+	newKey := versionedKey(SemanticsVersion+1, src, nil, opts)
+	if oldKey == newKey {
+		t.Fatal("keys under two semantics versions are equal")
+	}
+	if cacheKey(src, nil, opts) != oldKey {
+		t.Fatal("cacheKey does not hash the current SemanticsVersion")
+	}
+	lanes := opts
+	lanes.Lanes = 64
+	if cacheKey(src, nil, lanes) == oldKey {
+		t.Fatal("Lanes dropped out of the cache key")
+	}
+
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put(oldKey, testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err = OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if rec, err := ds.Get(newKey); err != nil || rec != nil {
+		t.Fatalf("Get under the next version = %+v, %v; want a miss", rec, err)
+	}
+	if rec, err := ds.Get(oldKey); err != nil || rec == nil {
+		t.Fatalf("Get under the writing version = %+v, %v; want a hit", rec, err)
+	}
+}

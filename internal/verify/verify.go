@@ -336,13 +336,30 @@ func run(ctx context.Context, src string, assertions []verilog.Item, opts Option
 	return Verdict{Record: rec, Design: d, Diags: diags, Formal: res}, nil
 }
 
-// cacheKey hashes the source, the candidate assertion set and the
-// normalised options. The assertion items are hashed through their printed
-// form (printing a throwaway module is cheap relative to re-printing and
-// re-parsing the full design, which happens only on a miss).
+// SemanticsVersion names the verification semantics a verdict is computed
+// under: what the simulation engines, the SVA checker and the formal
+// strategies answer for a given source and options. It is hashed into
+// every cache key, so a change to what a check answers bumps it, and every
+// verdict stored before — in memory or in a DiskStore — becomes a miss
+// rather than a stale answer. A change that computes the same verdicts
+// faster keeps it.
+const SemanticsVersion = 1
+
+// cacheKey hashes the semantics version, the source, the candidate
+// assertion set and the normalised options. The assertion items are hashed
+// through their printed form (printing a throwaway module is cheap
+// relative to re-printing and re-parsing the full design, which happens
+// only on a miss).
 func cacheKey(src string, assertions []verilog.Item, opts Options) Key {
+	return versionedKey(SemanticsVersion, src, assertions, opts)
+}
+
+// versionedKey is cacheKey under an explicit semantics version. Lanes
+// stays in the key on purpose: it guards against lane vs scalar
+// divergence ever being served from the other mode's verdicts.
+func versionedKey(version uint64, src string, assertions []verilog.Item, opts Options) Key {
 	f := opts.formal().Normalized()
-	var meta [8 * 7]byte
+	var meta [8 * 8]byte
 	binary.LittleEndian.PutUint64(meta[0:], uint64(f.Seed))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(f.Depth))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(f.RandomRuns))
@@ -355,6 +372,7 @@ func cacheKey(src string, assertions []verilog.Item, opts Options) Key {
 		meta[41] = 1
 	}
 	binary.LittleEndian.PutUint64(meta[48:], uint64(f.Lanes))
+	binary.LittleEndian.PutUint64(meta[56:], version)
 	h := sha256.New()
 	h.Write(meta[:])
 	h.Write([]byte(src))
